@@ -482,16 +482,19 @@ func scanCycleTargets(b *testing.B) rib.Partition {
 // permutation, handing every address to workers through a channel,
 // mutex-guarded report). The sharded engine gives each worker a private
 // slice of the permutation cycle, so throughput scales with workers;
-// the baseline is bound by the feeder and the channel handoff.
+// the baseline is bound by the feeder and the channel handoff. The
+// rate/ sub-benches set a global Rate that never binds, so the token
+// grants of a paced scan are in the path without pacing a probe.
 func BenchmarkScanCycle(b *testing.B) {
 	targets := scanCycleTargets(b)
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	cycle := func(workers int, rate float64) func(b *testing.B) {
+		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				s, err := scan.New(scan.Config{
 					Targets: targets,
 					Prober:  noopProber{},
+					Rate:    rate,
 					Workers: workers,
 					Seed:    int64(i),
 				})
@@ -506,7 +509,13 @@ func BenchmarkScanCycle(b *testing.B) {
 					b.Fatalf("probed %d of %d", report.Probed, targets.AddressCount())
 				}
 			}
-		})
+		}
+	}
+	for _, workers := range []int{1, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), cycle(workers, 0))
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("rate/workers=%d", workers), cycle(workers, 1e10))
 	}
 	b.Run("baseline-channel/workers=8", func(b *testing.B) {
 		b.ReportAllocs()

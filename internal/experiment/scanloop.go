@@ -18,9 +18,11 @@ import (
 // real seed scans undercount (§2).
 const scanLoopLoss = 0.03
 
-// scanLoopRate paces the simulated scanner. It engages the token-bucket
-// limiter on every probe without stretching the experiment's wall clock
-// noticeably (the full mini-universe scan fits in well under a second).
+// scanLoopRate paces the simulated scanner. It puts the token-bucket
+// limiter in the probe path (each worker draws its share of the rate in
+// grants of many tokens) without stretching the experiment's wall
+// clock noticeably (the full mini-universe scan fits in well under a
+// second).
 const scanLoopRate = 10e6
 
 // scanLoopWorld builds the dedicated mini-universe the scan-in-the-loop

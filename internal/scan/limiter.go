@@ -12,10 +12,16 @@ import (
 // politeness mechanism every responsible scanner runs (the paper's whole
 // point is sending fewer probes; the limiter makes the ones we do send
 // smooth instead of bursty).
+//
+// Scanner workers do not call it per probe: each takes a grant of k
+// tokens per call (see share) and spends it without the lock.
 type Limiter struct {
-	mu     sync.Mutex
-	rate   float64 // tokens per second
-	burst  float64
+	mu    sync.Mutex
+	rate  float64 // tokens per second
+	burst float64
+	// fill caps the bucket. It is burst, less the tokens that workers
+	// sharing the bucket may hold unspent (see share).
+	fill   float64
 	tokens float64
 	last   time.Time
 	now    func() time.Time // injectable clock for tests
@@ -37,6 +43,7 @@ func NewLimiter(rate float64, burst int) (*Limiter, error) {
 	return &Limiter{
 		rate:   rate,
 		burst:  float64(burst),
+		fill:   float64(burst),
 		tokens: float64(burst),
 		now:    time.Now,
 		sleep:  timerSleep,
@@ -81,8 +88,8 @@ func (l *Limiter) refill() {
 	now := l.now()
 	if !l.last.IsZero() {
 		l.tokens += now.Sub(l.last).Seconds() * l.rate
-		if l.tokens > l.burst {
-			l.tokens = l.burst
+		if l.tokens > l.fill {
+			l.tokens = l.fill
 		}
 	}
 	l.last = now
@@ -100,6 +107,32 @@ func (l *Limiter) Allow() bool {
 	return false
 }
 
+// grantSpan bounds how much of the rate one grant may cover: a worker
+// never holds more than about 50 µs of the global rate unspent.
+const grantSpan = 50 * time.Microsecond
+
+// share sizes the grant each of workers takes per limiter call:
+// k = clamp(⌊rate·grantSpan⌋, 1, ⌊burst/2W⌋). It lowers the fill cap to
+// burst − W·(k−1) (a worker spends the first token of a grant at once,
+// so it holds at most k−1 between calls). Tokens in the bucket plus
+// tokens held unspent then never exceed burst, and probes sent in any
+// window stay ≤ rate·window + burst, the bound of per-probe Wait. Below
+// about 40 K/s, k = 1 and nothing changes. Call it before the bucket is
+// shared.
+func (l *Limiter) share(workers int) int {
+	k := math.Min(math.Floor(l.rate*grantSpan.Seconds()), math.Floor(l.burst/float64(2*workers)))
+	if k < 1 {
+		k = 1
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.fill = l.burst - float64(workers)*(k-1)
+	if l.tokens > l.fill {
+		l.tokens = l.fill
+	}
+	return int(k)
+}
+
 // Wait blocks until a token is available or the context is canceled.
 //
 // Waiters are serialized by reservation, not by sleep-and-retry: a
@@ -110,14 +143,20 @@ func (l *Limiter) Allow() bool {
 // waking together to fight over a single refilled token. A canceled wait
 // returns its reserved token to the bucket.
 func (l *Limiter) Wait(ctx context.Context) error {
+	return l.take(ctx, 1)
+}
+
+// take is Wait for n tokens at once: one lock, one clock read, one
+// reservation. A canceled take returns all n.
+func (l *Limiter) take(ctx context.Context, n int) error {
 	l.mu.Lock()
 	l.refill()
-	l.tokens--
+	l.tokens -= float64(n)
 	if l.tokens >= 0 {
 		l.mu.Unlock()
 		return nil
 	}
-	// The bucket is in debt: this waiter's token arrives once the refill
+	// The bucket is in debt: this waiter's tokens arrive once the refill
 	// has produced -tokens more, i.e. after -tokens/rate seconds.
 	need := -l.tokens / l.rate
 	l.mu.Unlock()
@@ -128,13 +167,18 @@ func (l *Limiter) Wait(ctx context.Context) error {
 	}
 	if err := l.sleep(ctx, d); err != nil {
 		// Return the reservation so later waiters shift earlier.
-		l.mu.Lock()
-		l.tokens++
-		if l.tokens > l.burst {
-			l.tokens = l.burst
-		}
-		l.mu.Unlock()
+		l.give(n)
 		return err
 	}
 	return nil
+}
+
+// give returns n unspent tokens to the bucket, up to its fill cap.
+func (l *Limiter) give(n int) {
+	l.mu.Lock()
+	l.tokens += float64(n)
+	if l.tokens > l.fill {
+		l.tokens = l.fill
+	}
+	l.mu.Unlock()
 }

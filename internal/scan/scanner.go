@@ -97,16 +97,22 @@ func (r *Report) Hitrate() float64 {
 // (Permutation.Shard), so there is no feeder goroutine and no channel
 // handoff: each worker iterates, probes and buffers results locally, and
 // the per-worker buffers are merged once at the end. Counter updates are
-// atomic; nothing on the per-probe path takes a lock beyond the optional
-// rate limiter.
+// atomic. The global rate limiter is paid in grants of many tokens per
+// lock, so without per-AS or per-prefix pacing (PolicyLimiter, which
+// locks per probe) nothing on the per-probe path takes a lock.
 type Scanner struct {
 	cfg Config
 	cum []uint64 // cumulative target sizes for index→address mapping
+	// pfxAt narrows addrAt's search: the indexes [b<<pfxShift,
+	// (b+1)<<pfxShift) lie in target prefixes pfxAt[b]..pfxAt[b+1].
+	pfxAt    []uint32
+	pfxShift uint
 	// exclude is swapped atomically by SetExclusions, so a reloaded
 	// list takes effect mid-cycle without pausing the workers.
 	exclude   atomic.Pointer[trie.Trie[struct{}]]
 	excludeN  atomic.Int64
 	limiter   *Limiter
+	grant     int            // tokens a worker takes from limiter per call
 	policy    *PolicyLimiter // hierarchical pacing (nil without AS/prefix rates)
 	fp        *footprint     // per-AS accounting (nil without per-AS features)
 	backoffOn bool
@@ -154,6 +160,7 @@ func New(cfg Config) (*Scanner, error) {
 		cum += cfg.Targets.Prefix(i).NumAddresses()
 		s.cum[i] = cum
 	}
+	s.pfxShift, s.pfxAt = prefixTable(s.cum)
 	s.SetExclusions(cfg.Exclude)
 	switch {
 	case pol.layered():
@@ -182,6 +189,7 @@ func New(cfg Config) (*Scanner, error) {
 			return nil, err
 		}
 		s.limiter = lim
+		s.grant = lim.share(cfg.Workers)
 	}
 	s.backoffOn = pol.Backoff.Threshold > 0
 	if pol.perAS() {
@@ -221,14 +229,42 @@ func (s *Scanner) Policy() *PolicyLimiter {
 	return s.policy
 }
 
+// prefixTable builds addrAt's bucket table over the cumulative target
+// sizes cum: entry b is the target prefix holding index b<<shift, and a
+// final entry closes the last bucket. shift is the smallest that keeps
+// the table within 2·len(cum) entries: 4-byte entries, so never more
+// memory than cum itself.
+func prefixTable(cum []uint64) (uint, []uint32) {
+	n := len(cum)
+	top := cum[n-1] - 1 // highest index
+	var shift uint
+	for top>>shift+2 > uint64(2*n) {
+		shift++
+	}
+	buckets := int(top>>shift) + 1
+	tbl := make([]uint32, buckets+1)
+	i := 0
+	for b := range buckets {
+		for cum[i] <= uint64(b)<<shift {
+			i++
+		}
+		tbl[b] = uint32(i)
+	}
+	tbl[buckets] = uint32(n - 1)
+	return shift, tbl
+}
+
 // addrAt maps a permutation index to the target address space, returning
 // the address and the index of the target prefix containing it (the key
 // into the politeness layer's origin mapping). It runs once per probe on
-// every worker, so the binary search is hand-rolled: sort.Search's
-// closure call costs more than the whole loop here.
+// every worker: the bucket table bounds the search to the prefixes that
+// share idx's bucket, and the binary search over them is hand-rolled
+// (sort.Search's closure call costs more than the whole loop here).
 func (s *Scanner) addrAt(idx uint64) (netaddr.Addr, int) {
 	cum := s.cum
-	lo, hi := 0, len(cum) // first i with cum[i] > idx
+	b := idx >> s.pfxShift
+	// first i with cum[i] > idx; cum[hi] > idx holds for the bucket's end.
+	lo, hi := int(s.pfxAt[b]), int(s.pfxAt[b+1])
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if cum[mid] > idx {
@@ -237,12 +273,11 @@ func (s *Scanner) addrAt(idx uint64) (netaddr.Addr, int) {
 			lo = mid + 1
 		}
 	}
-	p := s.cfg.Targets.Prefix(lo)
 	off := idx
 	if lo > 0 {
 		off -= cum[lo-1]
 	}
-	return p.First() + netaddr.Addr(off), lo
+	return s.cfg.Targets.FirstAt(lo) + netaddr.Addr(off), lo
 }
 
 // Run executes one scan cycle: every target address owned by the
@@ -313,11 +348,18 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 		go func(w int) {
 			defer wg.Done()
 			sh := shards[w]
+			// One receive channel per worker: ctx.Err() would lock the
+			// context's mutex, which every worker shares, on every probe.
+			done := ctx.Done()
+			// held counts the tokens of this worker's rate grant not yet
+			// spent; whatever is left goes back to the bucket at exit.
+			held := 0
 			var local []netaddr.Addr
 			// Per-worker tallies, flushed into the shared atomics once at
 			// exit: the per-probe path touches no shared cache line. Only
 			// the MaxProbes budget needs a live shared counter.
 			var nProbed, nExcluded, nErrors, nDenied uint64
+		draws:
 			for !stop.Load() {
 				idx, ok := sh.Next()
 				if !ok {
@@ -335,10 +377,12 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 						continue
 					}
 				}
-				if err := ctx.Err(); err != nil {
+				select {
+				case <-done:
 					sh.rewind() // drawn but not probed
-					fail(err)
-					break
+					fail(ctx.Err())
+					break draws
+				default:
 				}
 				var fpc *asCounter
 				if s.fp != nil {
@@ -362,18 +406,25 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 						break
 					}
 				} else if s.limiter != nil {
-					if err := s.limiter.Wait(ctx); err != nil {
-						if fpc != nil {
-							s.fp.unreserve(fpc)
+					if held == 0 {
+						if err := s.limiter.take(ctx, s.grant); err != nil {
+							if fpc != nil {
+								s.fp.unreserve(fpc)
+							}
+							sh.rewind()
+							fail(err)
+							break
 						}
-						sh.rewind()
-						fail(err)
-						break
+						held = s.grant
 					}
+					held--
 				}
 				if s.cfg.MaxProbes > 0 && !reserveProbe(&probed, s.cfg.MaxProbes) {
 					if fpc != nil {
 						s.fp.unreserve(fpc)
+					}
+					if s.limiter != nil {
+						held++ // the token goes back with the rest
 					}
 					sh.rewind()
 					break
@@ -404,6 +455,9 @@ func (s *Scanner) Run(ctx context.Context) (*Report, error) {
 						fpc.responsive.Add(1)
 					}
 				}
+			}
+			if held > 0 {
+				s.limiter.give(held)
 			}
 			probed.Add(nProbed)
 			excluded.Add(nExcluded)
