@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"testing"
 
@@ -195,14 +194,15 @@ func BenchmarkRank(b *testing.B) {
 	}
 }
 
-// BenchmarkSelect measures one TASS selection on the seed snapshot (the
-// operation a reseeding scanner runs monthly).
+// BenchmarkSelect measures one uncached, single-worker TASS selection
+// on the seed snapshot (the full recount a reseeding scanner would run
+// monthly without a planner).
 func BenchmarkSelect(b *testing.B) {
 	w := world(b)
 	seed := w.Series["http"].At(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Select(seed, w.U.More, core.Options{Phi: 0.95}); err != nil {
+		if _, err := core.SelectCached(seed, w.U.More, core.Options{Phi: 0.95}, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -469,7 +469,7 @@ func (noopProber) Probe(_ context.Context, addr netaddr.Addr) (scan.Result, erro
 func scanCycleTargets(b *testing.B) rib.Partition {
 	w := world(b)
 	seed := w.Series["ftp"].At(0)
-	sel, err := core.Select(seed, w.U.More, core.Options{Phi: 0.7})
+	sel, err := core.SelectCached(seed, w.U.More, core.Options{Phi: 0.7}, 1, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -477,14 +477,11 @@ func scanCycleTargets(b *testing.B) rib.Partition {
 }
 
 // BenchmarkScanCycle measures a complete scan cycle of a TASS plan on
-// the sharded engine at increasing worker counts, against the
-// channel-fed baseline it replaced (one feeder goroutine walking the
-// permutation, handing every address to workers through a channel,
-// mutex-guarded report). The sharded engine gives each worker a private
-// slice of the permutation cycle, so throughput scales with workers;
-// the baseline is bound by the feeder and the channel handoff. The
-// rate/ sub-benches set a global Rate that never binds, so the token
-// grants of a paced scan are in the path without pacing a probe.
+// the sharded engine at increasing worker counts. Each worker walks a
+// private slice of the permutation cycle, so throughput scales with
+// workers. The rate/ sub-benches set a global Rate that never binds, so
+// the token grants of a paced scan are in the path without pacing a
+// probe.
 func BenchmarkScanCycle(b *testing.B) {
 	targets := scanCycleTargets(b)
 	cycle := func(workers int, rate float64) func(b *testing.B) {
@@ -517,79 +514,6 @@ func BenchmarkScanCycle(b *testing.B) {
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("rate/workers=%d", workers), cycle(workers, 1e10))
 	}
-	b.Run("baseline-channel/workers=8", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			probed, err := channelFedCycle(targets, noopProber{}, 8, int64(i))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if probed != targets.AddressCount() {
-				b.Fatalf("probed %d of %d", probed, targets.AddressCount())
-			}
-		}
-	})
-}
-
-// channelFedCycle reproduces the pre-sharding engine for the baseline
-// benchmark: a single feeder goroutine walks the sequential permutation
-// and pushes every address through a channel to the worker pool, with a
-// mutex around the shared report state.
-func channelFedCycle(targets rib.Partition, prober scan.Prober, workers int, seed int64) (uint64, error) {
-	perm, err := scan.NewPermutation(targets.AddressCount(), seed)
-	if err != nil {
-		return 0, err
-	}
-	cum := make([]uint64, targets.Len())
-	var c uint64
-	for i := 0; i < targets.Len(); i++ {
-		c += targets.Prefix(i).NumAddresses()
-		cum[i] = c
-	}
-	addrAt := func(idx uint64) netaddr.Addr {
-		i := sort.Search(len(cum), func(i int) bool { return cum[i] > idx })
-		p := targets.Prefix(i)
-		off := idx
-		if i > 0 {
-			off -= cum[i-1]
-		}
-		return p.First() + netaddr.Addr(off)
-	}
-
-	ch := make(chan netaddr.Addr, workers*2)
-	var mu sync.Mutex
-	var responsive []netaddr.Addr
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for addr := range ch {
-				res, err := prober.Probe(context.Background(), addr)
-				if err != nil {
-					continue
-				}
-				if res.Open {
-					mu.Lock()
-					responsive = append(responsive, res.Addr)
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	var probed uint64
-	for {
-		idx, ok := perm.Next()
-		if !ok {
-			break
-		}
-		ch <- addrAt(idx)
-		probed++
-	}
-	close(ch)
-	wg.Wait()
-	_ = responsive
-	return probed, nil
 }
 
 // lowChurnUniverse builds the steady-state benchmark world: one

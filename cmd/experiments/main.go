@@ -46,7 +46,7 @@ func main() {
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		countcache = flag.Bool("countcache", true, "memoize per-(snapshot,partition) host counts across experiments (output is identical either way)")
 		cachecap   = flag.Int("countcachecap", 0, "LRU entry cap of the count cache: 0 = default bound, negative = unbounded")
-		increment  = flag.Bool("incremental", false, "build the monthly series through the churn-native delta pipeline and reseed campaigns incrementally (output is identical either way)")
+		increment  = flag.Bool("incremental", false, "build the monthly series through the churn-native delta pipeline (output is identical either way)")
 		blocksize  = flag.Int("blocksize", addrset.DefaultBlockSize, "addresses per block in the block-indexed set layout")
 		prebuild   = flag.Bool("prebuildsets", false, "build snapshot set indexes eagerly during world building (output is identical either way)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")

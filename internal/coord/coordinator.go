@@ -45,7 +45,8 @@ type shardState struct {
 }
 
 // campaignState is the full durable state of one campaign. Exported
-// fields persist; the partition caches rebuild on load.
+// fields persist; the partition caches rebuild on load, the planner on
+// the first reseed after it.
 type campaignState struct {
 	Spec    CampaignSpec   `json:"spec"`
 	Cycle   int            `json:"cycle"`
@@ -62,6 +63,7 @@ type campaignState struct {
 
 	universe rib.Partition // cached parse of Spec.Universe
 	plan     rib.Partition // cached parse of Plan
+	planner  *core.Planner // reseed ranking; nil until the first reseed
 }
 
 // persistentState is the blob handed to the Store.
@@ -388,7 +390,10 @@ func (c *Coordinator) expireLocked(cs *campaignState) bool {
 // census→rank→select step, run centrally) or finishes the campaign.
 // All-or-nothing: every fallible step runs before the first mutation,
 // so a failed reseed leaves the campaign state exactly as it was and
-// the caller can safely retry (or roll back its own transition).
+// the caller can safely retry (or roll back its own transition). The
+// planner is not campaign state: after a failed reseed its ranking
+// reflects the snapshot it last accepted, and the retry repairs it from
+// there.
 func (c *Coordinator) finishCycleLocked(cs *campaignState) error {
 	var responsive []netaddr.Addr
 	var probed, errors uint64
@@ -416,8 +421,14 @@ func (c *Coordinator) finishCycleLocked(cs *campaignState) error {
 		done = true
 		note = fmt.Sprintf("cycle %d found no responsive hosts; campaign finished early", cs.Cycle)
 	case !last:
-		sel, err := core.SelectCached(snap, cs.universe,
-			core.Options{Phi: cs.Spec.Phi, MinDensity: cs.Spec.MinDensity}, 0, nil)
+		if cs.planner == nil {
+			p, err := core.NewPlanner(cs.universe, core.Options{Phi: cs.Spec.Phi, MinDensity: cs.Spec.MinDensity}, 0, nil)
+			if err != nil {
+				return fmt.Errorf("coord: campaign %s planner: %w", cs.Spec.ID, err)
+			}
+			cs.planner = p
+		}
+		sel, err := cs.planner.Plan(snap, nil)
 		if err != nil {
 			return fmt.Errorf("coord: campaign %s cycle %d selection: %w", cs.Spec.ID, cs.Cycle, err)
 		}
@@ -435,6 +446,7 @@ func (c *Coordinator) finishCycleLocked(cs *campaignState) error {
 	if done {
 		cs.Done = true
 		cs.Note = note
+		cs.planner = nil
 		return nil
 	}
 	cs.plan = nextPlan

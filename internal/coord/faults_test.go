@@ -1,9 +1,12 @@
 package coord
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -327,6 +330,81 @@ func TestDistributedCampaignMatchesSingleNode(t *testing.T) {
 	for i, h := range st.History {
 		if h.Releases != 2 {
 			t.Errorf("cycle %d: %d lease grants, want 2 (no failures injected)", i, h.Releases)
+		}
+	}
+}
+
+// TestReseedRollbackMidCampaignMatchesSingleNode: cycle 1's final
+// Complete first arrives with a responsive set that lies wholly outside
+// the universe, so the reseed fails and the coordinator rolls the shard
+// back. The worker's retry carries the real results, and every later
+// cycle — planned from the ranking the failed reseed left behind —
+// still matches the single-node run exactly.
+func TestReseedRollbackMidCampaignMatchesSingleNode(t *testing.T) {
+	const cycles = 4
+	single, singleLog := runSingleNode(t, cycles)
+
+	clk := newVClock()
+	c := mustCoordinator(t, NewMemStore(), clk.Now)
+	if err := c.CreateCampaign(faultSpec(1, cycles)); err != nil {
+		t.Fatal(err)
+	}
+	var failed atomic.Bool
+	inner := NewHandler(c)
+	tr := &memTransport{handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/complete") && !failed.Load() {
+			if st, err := c.Status("camp"); err == nil && st.Cycle == 1 {
+				failed.Store(true)
+				body, err := json.Marshal(Upload{Responsive: []netaddr.Addr{netaddr.MustParseAddr("198.51.100.7")}, Probed: 1})
+				if err != nil {
+					t.Error(err)
+				}
+				rec := httptest.NewRecorder()
+				bad := r.Clone(r.Context())
+				bad.Body = io.NopCloser(bytes.NewReader(body))
+				inner.ServeHTTP(rec, bad)
+				if rec.Code != http.StatusInternalServerError {
+					t.Errorf("un-seedable complete answered %d, want a retryable 500", rec.Code)
+				}
+				w.WriteHeader(rec.Code)
+				return
+			}
+		}
+		inner.ServeHTTP(w, r)
+	})}
+
+	dist := newProbeLog()
+	w := &Worker{
+		Client:   newTestClient(tr),
+		ID:       "a",
+		Campaign: "camp",
+		ProberAt: func(cycle int) scan.Prober {
+			return &countingProber{log: dist, cycle: cycle, inner: faultProberAt(cycle)}
+		},
+		Now: clk.Now,
+		Sleep: func(ctx context.Context, d time.Duration) error {
+			time.Sleep(100 * time.Microsecond)
+			return ctx.Err()
+		},
+	}
+	// A planner left inconsistent by the failed reseed would fail every
+	// retry; the deadline turns that wedge into a test failure.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := w.Run(ctx); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	if !failed.Load() {
+		t.Fatal("the cycle-1 reseed failure was never injected")
+	}
+	st, err := c.Status("camp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesSingleNode(t, st, dist, single, singleLog)
+	for i, h := range st.History[:cycles-1] { // the last cycle plans nothing
+		if h.Selected != single[i].Selection.K {
+			t.Errorf("cycle %d: selected %d prefixes, single-node %d", i, h.Selected, single[i].Selection.K)
 		}
 	}
 }

@@ -73,10 +73,10 @@ type prefixInfo struct {
 // NewRanker counts the seed over the universe (through cache, sharded
 // over workers as in RankCached) and packs the initial ranking. It
 // errors when the universe cannot use the packed-key ranking (2^25 or
-// more prefixes) — callers should fall back to the full per-month
-// recompute, which handles any size.
+// more prefixes); Planner falls back to the full recompute there, which
+// handles any size.
 func NewRanker(seed *census.Snapshot, universe rib.Partition, workers int, cache *census.CountCache) (*Ranker, error) {
-	if universe.Len() >= 1<<25 {
+	if universe.Len() >= maxRankerPrefixes {
 		return nil, fmt.Errorf("core: universe of %d prefixes exceeds the packed-key ranking; use the full recompute", universe.Len())
 	}
 	counts, _ := cache.Counts(seed, universe, workers)

@@ -94,7 +94,6 @@ func ScanLoop(w *World) (Result, error) {
 		Burst:    4096,
 		Workers:  w.Cfg.workers(),
 		Seed:     w.Cfg.Seed + 901,
-		Cache:    w.Cache,
 		Protocol: "ftp",
 	}
 	cycles, err := c.Run(context.Background(), truth.Months())

@@ -6,9 +6,12 @@ import (
 	"math/rand"
 	"sort"
 
+	"github.com/tass-scan/tass/internal/census"
+	"github.com/tass-scan/tass/internal/core"
 	"github.com/tass-scan/tass/internal/netaddr"
-	"github.com/tass-scan/tass/internal/sel6"
+	"github.com/tass-scan/tass/internal/rib"
 	"github.com/tass-scan/tass/internal/stats"
+	"github.com/tass-scan/tass/internal/trie"
 )
 
 // V6Select exercises the paper's closing argument end to end: TASS as
@@ -46,7 +49,7 @@ func V6Select(w *World) (Result, error) {
 			}
 		}
 	}
-	u, err := sel6.NewUniverse6FromAnnounced(announced)
+	u, err := rib.NewPartition(trie.LessSpecificOnly(announced))
 	if err != nil {
 		return Result{}, err
 	}
@@ -88,8 +91,9 @@ func V6Select(w *World) (Result, error) {
 
 	var tb stats.Table
 	tb.AddRow("φ", "K", "coverage", "space bits", "universe bits")
+	seed := census.NewSnapshotOf("seed6", 0, seeds)
 	for _, phi := range Phis {
-		sel, err := sel6.Select6(seeds, u, phi)
+		sel, err := core.SelectCached(seed, u, core.Options{Phi: phi}, 1, nil)
 		if err != nil {
 			return Result{}, err
 		}

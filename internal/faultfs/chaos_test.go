@@ -1,11 +1,13 @@
 package faultfs_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"github.com/tass-scan/tass/internal/addrset"
@@ -104,9 +106,6 @@ func TestChaosSnapshotBitSweep(t *testing.T) {
 }
 
 func TestChaosCheckpointBitSweep(t *testing.T) {
-	defer func(f func(string)) { scan.LegacyCheckpointWarn = f }(scan.LegacyCheckpointWarn)
-	scan.LegacyCheckpointWarn = func(string) {}
-
 	cp := &scan.Checkpoint{
 		N: 100000, Seed: 99, Shard: 1, Shards: 4, Workers: 2,
 		Consumed: []uint64{1234, 5678},
@@ -238,27 +237,21 @@ func findBlockZeroFlip(t *testing.T, path string) int64 {
 	return 0
 }
 
-// TestSelectionOverDamagedSnapshot drives the top of the stack: target
-// selection over a lazily-read snapshot with a damaged payload block
-// fails loudly under FailFast and completes (reporting the skipped
-// block) under Degrade.
-func TestSelectionOverDamagedSnapshot(t *testing.T) {
+// damagedSnapshotFile writes a snapshot file with one bit flipped in
+// block 0's payload and returns its path together with a /20 grid over
+// the populated span: prefix boundaries land inside payload blocks, so
+// counting decodes them instead of trusting the directory.
+func damagedSnapshotFile(t *testing.T) (string, *census.Snapshot, rib.Partition) {
+	t.Helper()
 	snap := chaosSnapshot(t, 4000)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "census.snap")
+	path := filepath.Join(t.TempDir(), "census.snap")
 	if err := census.WriteSnapshotFile(path, snap); err != nil {
 		t.Fatal(err)
 	}
-	// Flip a bit inside block 0's payload: the index stays trusted, the
-	// block fails its checksum — and the /20 grid below guarantees a
-	// counting boundary lands inside it, forcing the decode.
+	// The index stays trusted; the block fails its checksum.
 	if err := faultfs.FlipBit(path, findBlockZeroFlip(t, path)); err != nil {
 		t.Fatal(err)
 	}
-
-	// A /20 grid over the populated span: prefix boundaries land inside
-	// payload blocks, so counting decodes them instead of trusting the
-	// directory.
 	last := snap.Addrs[len(snap.Addrs)-1]
 	var pfx []netaddr.Prefix
 	for base := uint32(10 << 24); netaddr.Addr(base) <= last; base += 1 << 12 {
@@ -268,6 +261,15 @@ func TestSelectionOverDamagedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return path, snap, part
+}
+
+// TestSelectionOverDamagedSnapshot drives the top of the stack: target
+// selection over a lazily-read snapshot with a damaged payload block
+// fails loudly under FailFast and completes (reporting the skipped
+// block) under Degrade.
+func TestSelectionOverDamagedSnapshot(t *testing.T) {
+	path, _, part := damagedSnapshotFile(t)
 
 	failfast, err := census.OpenSnapshotFile(path)
 	if err != nil {
@@ -293,5 +295,140 @@ func TestSelectionOverDamagedSnapshot(t *testing.T) {
 	}
 	if len(degraded.StorageFaults()) == 0 {
 		t.Fatal("degraded selection reported no storage faults")
+	}
+}
+
+// TestCampaignSeedOverDamagedSnapshot: a campaign seeded from a lazy
+// census with a damaged block refuses to plan by default, returning the
+// typed block error; with DegradedReads it plans from the intact blocks
+// exactly as a degraded SelectCached does and reports every fault.
+func TestCampaignSeedOverDamagedSnapshot(t *testing.T) {
+	path, snap, part := damagedSnapshotFile(t)
+	open := func() *census.Snapshot {
+		s, err := census.OpenSnapshotFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	prober, err := scan.NewSimProber(snap.Addrs, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.Options{Phi: 0.5}
+	var faults []addrset.BlockError
+	campaign := func(degraded bool) *scan.Campaign {
+		return &scan.Campaign{
+			Universe:       part,
+			SeedSnapshot:   open(),
+			DegradedReads:  degraded,
+			OnStorageFault: func(f addrset.BlockError) { faults = append(faults, f) },
+			Prober:         prober,
+			Opts:           opts,
+			Workers:        2,
+		}
+	}
+
+	_, err = campaign(false).Run(context.Background(), 1)
+	var be *addrset.BlockError
+	if !errors.As(err, &be) {
+		t.Fatalf("campaign over a damaged seed returned %v, want a block error", err)
+	}
+
+	faults = nil
+	cycles, err := campaign(true).Run(context.Background(), 1)
+	if err != nil {
+		t.Fatalf("degraded campaign failed: %v", err)
+	}
+	if len(faults) == 0 {
+		t.Fatal("degraded campaign reported no storage faults")
+	}
+	ref := open()
+	ref.SetFaultPolicy(addrset.Degrade)
+	want, err := core.SelectCached(ref, part, opts, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(cycles[0].Plan.Prefixes(), want.Partition().Prefixes()) {
+		t.Fatal("degraded seed plan differs from a degraded SelectCached")
+	}
+}
+
+// TestCampaignSeedOverDamagedInteriorBlock: a damaged block that lies
+// wholly inside one universe prefix is never decoded while counting the
+// lazy seed — the file's index supplies its hosts — so planning from
+// the seed succeeds under both fault policies. Every cycle after it
+// must still select exactly what SelectCached selects from that cycle's
+// snapshot: the campaign may not reach the damaged block through a
+// later read and silently lose its hosts there.
+func TestCampaignSeedOverDamagedInteriorBlock(t *testing.T) {
+	path, snap, _ := damagedSnapshotFile(t)
+	// One /14 swallows block 0 whole; /20s cover the rest of the span.
+	pfx := []netaddr.Prefix{netaddr.MustPrefixFrom(netaddr.Addr(10<<24), 14)}
+	last := snap.Addrs[len(snap.Addrs)-1]
+	for base := uint32(10<<24 + 1<<18); netaddr.Addr(base) <= last; base += 1 << 12 {
+		pfx = append(pfx, netaddr.MustPrefixFrom(netaddr.Addr(base), 20))
+	}
+	part, err := rib.NewPartition(pfx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prober, err := scan.NewSimProber(snap.Addrs, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.Options{Phi: 0.5}
+	for _, degraded := range []bool{false, true} {
+		seed, err := census.OpenSnapshotFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer seed.Close()
+		var faults []addrset.BlockError
+		c := &scan.Campaign{
+			Universe:       part,
+			SeedSnapshot:   seed,
+			DegradedReads:  degraded,
+			OnStorageFault: func(f addrset.BlockError) { faults = append(faults, f) },
+			Prober:         prober,
+			Opts:           opts,
+			Workers:        2,
+		}
+		cycles, err := c.Run(context.Background(), 3)
+		if err != nil {
+			t.Fatalf("degraded=%v: campaign failed: %v", degraded, err)
+		}
+		if len(faults) != 0 {
+			t.Fatalf("degraded=%v: counting the seed decoded the damaged block (%d faults); the test needs it counted from the index", degraded, len(faults))
+		}
+		ref, err := census.OpenSnapshotFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ref.Close()
+		seedSel, err := core.SelectCached(ref, part, opts, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(cycles[0].Plan.Prefixes(), seedSel.Partition().Prefixes()) {
+			t.Fatalf("degraded=%v: seed plan differs from SelectCached of the seed", degraded)
+		}
+		for _, cy := range cycles {
+			want, err := core.SelectCached(cy.Snapshot, part, opts, 1, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := cy.Selection
+			if got.K != want.K || got.SeedHosts != want.SeedHosts || got.Space != want.Space ||
+				!slices.Equal(got.Ranked, want.Ranked) ||
+				!slices.Equal(got.Partition().Prefixes(), want.Partition().Prefixes()) {
+				t.Fatalf("degraded=%v cycle %d: selection K=%d N=%d space=%d, SelectCached K=%d N=%d space=%d",
+					degraded, cy.Index, got.K, got.SeedHosts, got.Space, want.K, want.SeedHosts, want.Space)
+			}
+		}
+		if err := seed.StorageErr(); err != nil {
+			t.Fatalf("degraded=%v: the campaign read the damaged block after planning from the seed: %v", degraded, err)
+		}
 	}
 }

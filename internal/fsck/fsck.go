@@ -189,10 +189,13 @@ func runCheckpoint(res *Result, repair bool) error {
 		Format string `json:"format"`
 	}
 	legacy := json.Unmarshal(data, &env) == nil && env.Format == ""
-	warn := scan.LegacyCheckpointWarn
-	scan.LegacyCheckpointWarn = func(string) {} // fsck reports legacy itself
-	cp, readErr := scan.ReadCheckpoint(bytes.NewReader(data))
-	scan.LegacyCheckpointWarn = warn
+	var cp *scan.Checkpoint
+	var readErr error
+	if legacy {
+		cp, readErr = readLegacyCheckpoint(data)
+	} else {
+		cp, readErr = scan.ReadCheckpoint(bytes.NewReader(data))
+	}
 	switch {
 	case readErr != nil:
 		res.Findings = append(res.Findings, fmt.Sprintf("unreadable: %v", readErr))
@@ -216,6 +219,20 @@ func runCheckpoint(res *Result, repair bool) error {
 		}
 	}
 	return nil
+}
+
+// readLegacyCheckpoint decodes the checksum-less format written before
+// the envelope: the checkpoint fields at top level. Decoding is strict,
+// so a corrupted envelope (extra "crc"/"body" keys) cannot pass for a
+// legacy file and be "upgraded" into a wrong cursor.
+func readLegacyCheckpoint(data []byte) (*scan.Checkpoint, error) {
+	var cp scan.Checkpoint
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cp); err != nil {
+		return nil, fmt.Errorf("not a checkpoint file: %w", err)
+	}
+	return &cp, nil
 }
 
 func runCoordState(res *Result, repair bool) error {

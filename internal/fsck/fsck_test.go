@@ -114,10 +114,6 @@ func TestFsckSnapshotIndexDamage(t *testing.T) {
 }
 
 func TestFsckCheckpoint(t *testing.T) {
-	defer func(f func(string)) { scan.LegacyCheckpointWarn = f }(scan.LegacyCheckpointWarn)
-	var warned int
-	scan.LegacyCheckpointWarn = func(string) { warned++ }
-
 	dir := t.TempDir()
 	cp := &scan.Checkpoint{N: 500, Seed: 1, Shards: 1, Workers: 1, Consumed: []uint64{7}}
 	path := filepath.Join(dir, "scan.checkpoint")
@@ -148,8 +144,8 @@ func TestFsckCheckpoint(t *testing.T) {
 	if res.Clean || !strings.Contains(strings.Join(res.Findings, " "), "legacy") {
 		t.Fatalf("legacy not flagged: %+v", res)
 	}
-	if warned != 0 {
-		t.Fatal("fsck leaked the deprecation warning while reporting legacy itself")
+	if _, err := scan.ReadCheckpointFile(lpath); err == nil {
+		t.Fatal("the scanner loaded a legacy checkpoint; only fsck may")
 	}
 	res, err = fsck.Repair(lpath)
 	if err != nil {
@@ -158,16 +154,31 @@ func TestFsckCheckpoint(t *testing.T) {
 	if !res.Repaired {
 		t.Fatalf("legacy not upgraded: %+v", res)
 	}
-	warned = 0
 	back, err := scan.ReadCheckpointFile(lpath)
 	if err != nil {
 		t.Fatalf("upgraded checkpoint unreadable: %v", err)
 	}
-	if warned != 0 {
-		t.Fatal("upgraded checkpoint still loads through the legacy path")
-	}
 	if back.N != cp.N || back.Consumed[0] != cp.Consumed[0] {
 		t.Fatalf("upgrade changed the cursor: %+v", back)
+	}
+
+	// An envelope with a damaged "format" key is not a legacy file: the
+	// strict legacy decode refuses its crc/body keys, so repair moves it
+	// aside instead of upgrading it into a wrong cursor.
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ppath := filepath.Join(dir, "posing.checkpoint")
+	posing := strings.Replace(string(good), `"format"`, `"fxrmat"`, 1)
+	if err := os.WriteFile(ppath, []byte(posing), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = fsck.Repair(ppath); err != nil {
+		t.Fatal(err)
+	}
+	if !res.Repaired || res.QuarantinePath == "" {
+		t.Fatalf("envelope posing as legacy not moved aside: %+v", res)
 	}
 
 	// Corrupt file: moved aside whole.

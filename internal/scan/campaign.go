@@ -78,16 +78,11 @@ type Campaign struct {
 	// rib.Table.OriginsOf on the announced table behind Universe).
 	// Required when Politeness enables any per-AS feature.
 	OriginsOf func(plan rib.Partition) []uint32
-	// Cache, when non-nil, memoizes the per-(snapshot, partition) counts
-	// behind each re-selection.
-	Cache *census.CountCache
-	// Incremental re-selects by applying each cycle's scan-result delta
-	// (previous cycle's snapshot diffed against this cycle's) to a
-	// maintained ranking instead of re-counting the whole snapshot over
-	// the universe every cycle. Selections — and therefore every later
-	// cycle's plan — are byte-identical to the full recompute (golden
-	// tested); the steady-state reseed cost becomes proportional to the
-	// cycle-over-cycle churn.
+	// Incremental has no effect.
+	//
+	// Deprecated: campaigns always re-select incrementally (each cycle's
+	// scan-result delta repairs a maintained ranking, byte-identical to a
+	// full recompute), so the field is ignored.
 	Incremental bool
 	// Protocol names the snapshots built from scan results (default
 	// "scan").
@@ -130,53 +125,23 @@ func (c *Campaign) Run(ctx context.Context, cycles int) ([]Cycle, error) {
 	if protocol == "" {
 		protocol = "scan"
 	}
-	// Selection workers: SelectCached reads 0 as GOMAXPROCS, matching
-	// the scanner's own parallel default.
-	workers := c.Workers
-	if workers < 0 {
-		workers = 0
+	// Selection workers: the planner reads 0 as GOMAXPROCS, matching
+	// the scanner's own parallel default. Every cycle builds a fresh
+	// snapshot, so a count cache would never hit: the planner gets none.
+	planner, err := core.NewPlanner(c.Universe, c.Opts, max(c.Workers, 0), nil)
+	if err != nil {
+		return nil, fmt.Errorf("scan: campaign: %w", err)
 	}
 	plan := c.Targets
 	if plan.Len() == 0 {
 		plan = c.Universe
 	}
 	var out []Cycle
-	var (
-		ranker   *core.Ranker
-		prevSnap *census.Snapshot
-	)
-	// selectFrom computes the selection seeding the next plan. The first
-	// call counts the snapshot over the universe (keeping the ranking
-	// when Incremental); later incremental calls repair the ranking with
-	// the snapshot-over-snapshot delta. Selections are byte-identical
-	// across the paths and across snapshot backings (eager or lazy).
-	selectFrom := func(snap *census.Snapshot) (*core.Selection, error) {
-		switch {
-		case c.Incremental && ranker == nil:
-			// First selection (or a universe too large for the packed
-			// ranking, which falls through to the full path below):
-			// count once, keep the ranking.
-			r, err := core.NewRanker(snap, c.Universe, workers, c.Cache)
-			if err == nil {
-				ranker = r
-				return ranker.Select(c.Opts)
-			}
-			return core.SelectCached(snap, c.Universe, c.Opts, workers, c.Cache)
-		case c.Incremental:
-			// Steady state: the scan-result delta repairs the ranking.
-			if err := ranker.Apply(prevSnap.Diff(snap)); err != nil {
-				return nil, err
-			}
-			return ranker.Select(c.Opts)
-		default:
-			return core.SelectCached(snap, c.Universe, c.Opts, workers, c.Cache)
-		}
-	}
 	if c.SeedSnapshot != nil && c.Targets.Len() == 0 {
 		if c.DegradedReads {
 			c.SeedSnapshot.SetFaultPolicy(addrset.Degrade)
 		}
-		sel, err := selectFrom(c.SeedSnapshot)
+		sel, err := planner.Plan(c.SeedSnapshot, nil)
 		if faults := c.SeedSnapshot.StorageFaults(); len(faults) > 0 && c.OnStorageFault != nil {
 			for _, f := range faults {
 				c.OnStorageFault(f)
@@ -185,7 +150,6 @@ func (c *Campaign) Run(ctx context.Context, cycles int) ([]Cycle, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scan: campaign seed selection: %w", err)
 		}
-		prevSnap = c.SeedSnapshot
 		plan = sel.Partition()
 	}
 	for i := 0; i < cycles; i++ {
@@ -220,11 +184,10 @@ func (c *Campaign) Run(ctx context.Context, cycles int) ([]Cycle, error) {
 			return out, fmt.Errorf("scan: campaign cycle %d: %w", i, err)
 		}
 		snap := census.NewSnapshot(protocol, i, report.Responsive)
-		sel, err := selectFrom(snap)
+		sel, err := planner.Plan(snap, nil)
 		if err != nil {
 			return out, fmt.Errorf("scan: campaign cycle %d selection: %w", i, err)
 		}
-		prevSnap = snap
 		out = append(out, Cycle{
 			Index:     i,
 			Plan:      plan,

@@ -2,6 +2,7 @@ package scan
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"github.com/tass-scan/tass/internal/census"
@@ -45,7 +46,6 @@ func TestCampaignFeedbackTightensPlan(t *testing.T) {
 		Opts:     core.Options{Phi: 0.9},
 		Workers:  4,
 		Seed:     5,
-		Cache:    census.NewCountCache(),
 		Protocol: "test",
 	}
 	cycles, err := c.Run(context.Background(), 3)
@@ -139,70 +139,44 @@ func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCampaignIncrementalGoldenEquality: an incremental campaign
-// (ranking repaired by each cycle's scan-result delta) produces cycle
-// outputs byte-identical to the full per-cycle recompute — snapshots,
-// complete rankings and plans — including under probe loss, which makes
-// every cycle's responsive set churn.
+// TestCampaignIncrementalGoldenEquality: every cycle's selection,
+// drawn from the ranking each cycle's scan-result delta repairs, is
+// byte-identical to a full SelectCached of that cycle's snapshot —
+// header, complete ranking and partition — and is the plan the next
+// cycle scans, including under probe loss, which makes every cycle's
+// responsive set churn.
 func TestCampaignIncrementalGoldenEquality(t *testing.T) {
 	uni, live := campaignFixture(t)
-	run := func(incremental bool, loss float64, workers int) []Cycle {
-		prober, err := NewSimProber(live, loss, 17)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := &Campaign{
-			Universe:    uni,
-			Prober:      prober,
-			Opts:        core.Options{Phi: 0.9},
-			Workers:     workers,
-			Seed:        23,
-			Cache:       census.NewCountCache(),
-			Incremental: incremental,
-		}
-		cycles, err := c.Run(context.Background(), 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cycles
-	}
+	opts := core.Options{Phi: 0.9}
 	for _, loss := range []float64{0, 0.25} {
 		for _, workers := range []int{1, 2, 8} {
-			full := run(false, loss, workers)
-			inc := run(true, loss, workers)
-			for i := range full {
-				f, g := full[i], inc[i]
-				if len(f.Snapshot.Addrs) != len(g.Snapshot.Addrs) {
-					t.Fatalf("loss=%v workers=%d cycle %d: %d vs %d hosts", loss, workers, i,
-						len(g.Snapshot.Addrs), len(f.Snapshot.Addrs))
+			prober, err := NewSimProber(live, loss, 17)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := &Campaign{Universe: uni, Prober: prober, Opts: opts, Workers: workers, Seed: 23}
+			cycles, err := c.Run(context.Background(), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, cy := range cycles {
+				full, err := core.SelectCached(cy.Snapshot, uni, opts, workers, nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for j := range f.Snapshot.Addrs {
-					if f.Snapshot.Addrs[j] != g.Snapshot.Addrs[j] {
-						t.Fatalf("loss=%v workers=%d cycle %d: snapshot addr %d differs", loss, workers, i, j)
-					}
-				}
-				fs, gs := f.Selection, g.Selection
-				if fs.K != gs.K || fs.SeedHosts != gs.SeedHosts || fs.Space != gs.Space ||
-					fs.HostCoverage != gs.HostCoverage || fs.SpaceShare != gs.SpaceShare {
+				got := cy.Selection
+				if got.K != full.K || got.SeedHosts != full.SeedHosts || got.Space != full.Space ||
+					got.HostCoverage != full.HostCoverage || got.SpaceShare != full.SpaceShare {
 					t.Fatalf("loss=%v workers=%d cycle %d: selection header diverged", loss, workers, i)
 				}
-				if len(fs.Ranked) != len(gs.Ranked) {
-					t.Fatalf("loss=%v workers=%d cycle %d: ranking length %d vs %d",
-						loss, workers, i, len(gs.Ranked), len(fs.Ranked))
+				if !slices.Equal(got.Ranked, full.Ranked) {
+					t.Fatalf("loss=%v workers=%d cycle %d: ranking diverged", loss, workers, i)
 				}
-				for j := range fs.Ranked {
-					if fs.Ranked[j] != gs.Ranked[j] {
-						t.Fatalf("loss=%v workers=%d cycle %d: rank %d diverged", loss, workers, i, j)
-					}
+				if !slices.Equal(got.Partition().Prefixes(), full.Partition().Prefixes()) {
+					t.Fatalf("loss=%v workers=%d cycle %d: selected partition diverged", loss, workers, i)
 				}
-				fp, gp := f.Plan.Prefixes(), g.Plan.Prefixes()
-				if len(fp) != len(gp) {
-					t.Fatalf("loss=%v workers=%d cycle %d: plan sizes diverge", loss, workers, i)
-				}
-				for j := range fp {
-					if fp[j] != gp[j] {
-						t.Fatalf("loss=%v workers=%d cycle %d: plan prefix %d diverged", loss, workers, i, j)
-					}
+				if i+1 < len(cycles) && !slices.Equal(cycles[i+1].Plan.Prefixes(), full.Partition().Prefixes()) {
+					t.Fatalf("loss=%v workers=%d cycle %d: next plan is not the selection", loss, workers, i)
 				}
 			}
 		}

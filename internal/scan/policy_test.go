@@ -638,31 +638,28 @@ func TestScannerFlakyProberAcrossResume(t *testing.T) {
 
 // TestCampaignAllErrorCycleNoPanic: a cycle whose probes all fail yields
 // an empty snapshot; re-selection must fail gracefully (no hosts to
-// cover), not panic — in both the full and incremental paths.
+// cover), not panic.
 func TestCampaignAllErrorCycleNoPanic(t *testing.T) {
 	uni, _ := campaignFixture(t)
 	dead := proberFunc(func(_ context.Context, a netaddr.Addr) (Result, error) {
 		return Result{Addr: a}, fmt.Errorf("network unplugged")
 	})
-	for _, incremental := range []bool{false, true} {
-		c := &Campaign{
-			Universe:    uni,
-			Prober:      dead,
-			Opts:        core.Options{Phi: 0.9},
-			Workers:     2,
-			Seed:        5,
-			Incremental: incremental,
-		}
-		done, err := c.Run(context.Background(), 2)
-		if err == nil {
-			t.Fatalf("incremental=%v: all-error campaign succeeded", incremental)
-		}
-		if !strings.Contains(err.Error(), "selection") {
-			t.Errorf("incremental=%v: error %q does not point at the selection step", incremental, err)
-		}
-		if len(done) != 0 {
-			t.Errorf("incremental=%v: %d cycles completed on an all-error campaign", incremental, len(done))
-		}
+	c := &Campaign{
+		Universe: uni,
+		Prober:   dead,
+		Opts:     core.Options{Phi: 0.9},
+		Workers:  2,
+		Seed:     5,
+	}
+	done, err := c.Run(context.Background(), 2)
+	if err == nil {
+		t.Fatal("all-error campaign succeeded")
+	}
+	if !strings.Contains(err.Error(), "selection") {
+		t.Errorf("error %q does not point at the selection step", err)
+	}
+	if len(done) != 0 {
+		t.Errorf("%d cycles completed on an all-error campaign", len(done))
 	}
 }
 

@@ -22,21 +22,16 @@ type Campaign struct {
 	// after the initial full scan.
 	ReseedEvery int
 	// Workers bounds the counting-walk goroutines per reseed (0 means
-	// a single worker, matching plain core.Select); results are
-	// identical at any count.
+	// a single worker); results are identical at any count.
 	Workers int
 	// Cache, when non-nil, memoizes per-(snapshot, universe) counts
-	// across reseeds and across campaigns sharing the series.
+	// across campaigns sharing the series.
 	Cache *census.CountCache
-	// Incremental reseeds through a core.Ranker advanced by per-month
-	// deltas instead of re-counting and re-sorting every reseed from
-	// zero: steady-state work proportional to the churn. Selections are
-	// byte-identical to the full recompute (golden tested).
-	Incremental bool
 	// Deltas optionally supplies the native per-month deltas of the
 	// series (Deltas[m] carries month m -> m+1, as produced by
-	// churn.RunSimDeltas); without them the incremental path derives
-	// each month's delta with a Snapshot.Diff merge walk.
+	// churn.RunSimDeltas). A monthly reseed repairs its ranking with
+	// them; without them, and across longer reseed intervals, the
+	// planner diffs the two reseed snapshots itself.
 	Deltas []*census.Delta
 }
 
@@ -67,41 +62,28 @@ func EvaluateCampaign(c Campaign, series *census.Series, fullSpace uint64) (Camp
 	if workers <= 0 {
 		workers = 1
 	}
-	var (
-		ev     CampaignEval
-		sel    *core.Selection
-		ranker *core.Ranker
-	)
-	if c.Incremental && c.ReseedEvery > 0 {
-		// Seed the ranker once on month 0; every later month applies
-		// that month's delta, so any reseed is a top-K selection off the
-		// repaired ranking. A never-reseeding campaign selects only at
-		// month 0 and would pay the monthly repairs for nothing, and a
-		// universe too large for the packed ranking cannot use it —
-		// both fall back to the full recompute.
-		r, err := core.NewRanker(series.At(0), c.Universe, workers, c.Cache)
-		if err == nil {
-			ranker = r
-		}
+	// Reseeds plan through one planner: the first counts month 0, each
+	// later one repairs the ranking with the churn since the last.
+	planner, err := core.NewPlanner(c.Universe, c.Opts, workers, c.Cache)
+	if err != nil {
+		return CampaignEval{}, fmt.Errorf("strategy: %w", err)
 	}
+	var (
+		ev      CampaignEval
+		sel     *core.Selection
+		planned int // month of the last reseed
+	)
 	for m := 0; m < series.Months(); m++ {
-		if ranker != nil && m > 0 {
-			d := c.delta(series, m)
-			if err := ranker.Apply(d); err != nil {
-				return CampaignEval{}, fmt.Errorf("strategy: delta at month %d: %w", m, err)
-			}
-		}
 		reseed := m == 0 || (c.ReseedEvery > 0 && m%c.ReseedEvery == 0)
 		if reseed {
-			var err error
-			if ranker != nil {
-				sel, err = ranker.Select(c.Opts)
-			} else {
-				sel, err = core.SelectCached(series.At(m), c.Universe, c.Opts, workers, c.Cache)
+			var d *census.Delta
+			if planned == m-1 && m-1 < len(c.Deltas) {
+				d = c.Deltas[m-1]
 			}
-			if err != nil {
+			if sel, err = planner.Plan(series.At(m), d); err != nil {
 				return CampaignEval{}, fmt.Errorf("strategy: reseed at month %d: %w", m, err)
 			}
+			planned = m
 			ev.Reseeds++
 			// The reseed month itself runs the full scan that seeds the
 			// selection: perfect coverage, full cost.
@@ -120,13 +102,4 @@ func EvaluateCampaign(c Campaign, series *census.Series, fullSpace uint64) (Camp
 	ev.MeanHitrate /= n
 	ev.MeanCostShare /= n
 	return ev, nil
-}
-
-// delta returns the churn from month m-1 to m: the supplied native
-// delta when the campaign has one, a merge-walk Diff otherwise.
-func (c Campaign) delta(series *census.Series, m int) *census.Delta {
-	if m-1 < len(c.Deltas) && c.Deltas[m-1] != nil {
-		return c.Deltas[m-1]
-	}
-	return series.At(m - 1).Diff(series.At(m))
 }

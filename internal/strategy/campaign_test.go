@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/tass-scan/tass/internal/census"
@@ -66,12 +67,15 @@ func TestCampaignReseedRestoresAccuracy(t *testing.T) {
 	}
 }
 
-// TestCampaignIncrementalGoldenEquality: the delta-driven campaign
-// (ranker repaired per month, reseeds off the repaired ranking) and the
-// full per-reseed recompute produce bit-identical evaluations — with
-// per-month diffs derived on the fly and with supplied native deltas.
+// TestCampaignIncrementalGoldenEquality: the planner-driven campaign
+// (month 0 counted, every later reseed repaired from the churn since
+// the previous one) evaluates bit-identically to a reference that runs
+// a full SelectCached at every reseed — with deltas derived by the
+// planner, with supplied native deltas, and with workers and a cache.
 func TestCampaignIncrementalGoldenEquality(t *testing.T) {
 	u, series := smallWorld(t, 53)
+	full := u.Less.AddressCount()
+	opts := core.Options{Phi: 0.95}
 	for _, proto := range []string{"http", "cwmp"} {
 		s := series[proto]
 		var native []*census.Delta
@@ -79,31 +83,51 @@ func TestCampaignIncrementalGoldenEquality(t *testing.T) {
 			native = append(native, s.At(m-1).Diff(s.At(m)))
 		}
 		for _, dt := range []int{0, 1, 2, 3} {
-			base := Campaign{Universe: u.More, Opts: core.Options{Phi: 0.95}, ReseedEvery: dt}
-			want, err := EvaluateCampaign(base, s, u.Less.AddressCount())
-			if err != nil {
-				t.Fatal(err)
+			// The reference: a full recompute at every reseed month.
+			var want CampaignEval
+			var sel *core.Selection
+			for m := 0; m < s.Months(); m++ {
+				if m == 0 || (dt > 0 && m%dt == 0) {
+					var err error
+					if sel, err = core.SelectCached(s.At(m), u.More, opts, 1, nil); err != nil {
+						t.Fatal(err)
+					}
+					want.Reseeds++
+					want.Hitrate = append(want.Hitrate, 1)
+					want.CostShare = append(want.CostShare, 1)
+					continue
+				}
+				want.Hitrate = append(want.Hitrate, sel.Hitrate(s.At(m)))
+				want.CostShare = append(want.CostShare, float64(sel.Space)/float64(full))
 			}
 			for _, c := range []Campaign{
-				{Universe: u.More, Opts: base.Opts, ReseedEvery: dt, Incremental: true},
-				{Universe: u.More, Opts: base.Opts, ReseedEvery: dt, Incremental: true, Deltas: native},
-				{Universe: u.More, Opts: base.Opts, ReseedEvery: dt, Incremental: true, Workers: 8, Cache: census.NewCountCache()},
+				{Universe: u.More, Opts: opts, ReseedEvery: dt},
+				{Universe: u.More, Opts: opts, ReseedEvery: dt, Deltas: native},
+				{Universe: u.More, Opts: opts, ReseedEvery: dt, Workers: 8, Cache: census.NewCountCache()},
 			} {
-				got, err := EvaluateCampaign(c, s, u.Less.AddressCount())
+				got, err := EvaluateCampaign(c, s, full)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got.Reseeds != want.Reseeds || got.MeanHitrate != want.MeanHitrate ||
-					got.MeanCostShare != want.MeanCostShare {
-					t.Fatalf("%s Δt=%d: incremental eval diverged: %+v vs %+v", proto, dt, got, want)
-				}
-				for m := range want.Hitrate {
-					if got.Hitrate[m] != want.Hitrate[m] || got.CostShare[m] != want.CostShare[m] {
-						t.Fatalf("%s Δt=%d month %d: hitrate/cost diverged", proto, dt, m)
-					}
+				if got.Reseeds != want.Reseeds || !slices.Equal(got.Hitrate, want.Hitrate) ||
+					!slices.Equal(got.CostShare, want.CostShare) {
+					t.Fatalf("%s Δt=%d: campaign diverged from the full recompute: %+v vs %+v", proto, dt, got, want)
 				}
 			}
 		}
+	}
+}
+
+// TestCampaignRejectsMismatchedDeltas: a supplied delta that does not
+// lead from one reseed month to the next is an error, not a silently
+// wrong ranking.
+func TestCampaignRejectsMismatchedDeltas(t *testing.T) {
+	u, series := smallWorld(t, 53)
+	s := series["http"]
+	shifted := []*census.Delta{nil, s.At(0).Diff(s.At(1))}
+	if _, err := EvaluateCampaign(Campaign{Universe: u.More, Opts: core.Options{Phi: 0.95}, ReseedEvery: 1, Deltas: shifted},
+		s, u.Less.AddressCount()); err == nil {
+		t.Fatal("month-0→1 delta accepted for the month-1→2 reseed")
 	}
 }
 

@@ -127,8 +127,7 @@ func TestLazyGoldenEquality(t *testing.T) {
 // TestCampaignSeedSnapshotBackings runs the scan-in-the-loop campaign
 // seeded from a census snapshot and checks that every cycle — plans,
 // probe reports, snapshots, selections — is identical whichever backing
-// the seed snapshot uses, at every worker count, on both the full and
-// the incremental re-selection paths.
+// the seed snapshot uses, at every worker count.
 func TestCampaignSeedSnapshotBackings(t *testing.T) {
 	var pfx []tass.Prefix
 	for i := 0; i < 4; i++ {
@@ -155,7 +154,7 @@ func TestCampaignSeedSnapshotBackings(t *testing.T) {
 	eagerSeed := tass.NewSnapshot("census", 0, seedAddrs)
 	backings := snapshotBackings(t, eagerSeed)
 
-	run := func(seed *tass.Snapshot, workers int, incremental bool) []tass.ScanCycle {
+	run := func(seed *tass.Snapshot, workers int) []tass.ScanCycle {
 		prober, err := tass.NewSimProber(live, 0.1, 7) // deterministic loss
 		if err != nil {
 			t.Fatal(err)
@@ -167,8 +166,6 @@ func TestCampaignSeedSnapshotBackings(t *testing.T) {
 			Opts:         tass.Options{Phi: 0.9},
 			Workers:      workers,
 			Seed:         11,
-			Cache:        tass.NewCountCache(),
-			Incremental:  incremental,
 			Protocol:     "t",
 		}
 		cycles, err := c.Run(context.Background(), 3)
@@ -178,30 +175,28 @@ func TestCampaignSeedSnapshotBackings(t *testing.T) {
 		return cycles
 	}
 
-	for _, incremental := range []bool{false, true} {
-		for _, workers := range []int{1, 2, 8} {
-			want := run(backings["eager"], workers, incremental)
-			// The seed selection replaced the cycle-0 full-universe scan.
-			if want[0].Plan.AddressCount() >= universe.AddressCount() {
-				t.Fatalf("seeded campaign still scanned the full universe (%d addrs)",
-					want[0].Plan.AddressCount())
+	for _, workers := range []int{1, 2, 8} {
+		want := run(backings["eager"], workers)
+		// The seed selection replaced the cycle-0 full-universe scan.
+		if want[0].Plan.AddressCount() >= universe.AddressCount() {
+			t.Fatalf("seeded campaign still scanned the full universe (%d addrs)",
+				want[0].Plan.AddressCount())
+		}
+		for _, name := range []string{"pread", "mmap"} {
+			got := run(backings[name], workers)
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d cycles, want %d", name, len(got), len(want))
 			}
-			for _, name := range []string{"pread", "mmap"} {
-				got := run(backings[name], workers, incremental)
-				if len(got) != len(want) {
-					t.Fatalf("%s: %d cycles, want %d", name, len(got), len(want))
+			for i := range got {
+				g, w := got[i], want[i]
+				if !slices.Equal(g.Plan.Prefixes(), w.Plan.Prefixes()) {
+					t.Errorf("%s workers=%d cycle %d: plan diverges", name, workers, i)
 				}
-				for i := range got {
-					g, w := got[i], want[i]
-					if !slices.Equal(g.Plan.Prefixes(), w.Plan.Prefixes()) {
-						t.Errorf("%s workers=%d inc=%v cycle %d: plan diverges", name, workers, incremental, i)
-					}
-					if !slices.Equal(g.Snapshot.Addrs, w.Snapshot.Addrs) {
-						t.Errorf("%s workers=%d inc=%v cycle %d: snapshot diverges", name, workers, incremental, i)
-					}
-					if !sameSelection(g.Selection, w.Selection) {
-						t.Errorf("%s workers=%d inc=%v cycle %d: selection diverges", name, workers, incremental, i)
-					}
+				if !slices.Equal(g.Snapshot.Addrs, w.Snapshot.Addrs) {
+					t.Errorf("%s workers=%d cycle %d: snapshot diverges", name, workers, i)
+				}
+				if !sameSelection(g.Selection, w.Selection) {
+					t.Errorf("%s workers=%d cycle %d: selection diverges", name, workers, i)
 				}
 			}
 		}

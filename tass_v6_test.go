@@ -1,24 +1,26 @@
-package sel6
+package tass_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
+	"github.com/tass-scan/tass"
 	"github.com/tass-scan/tass/internal/netaddr"
 )
 
-func p6(s string) netaddr.Prefix6 {
-	p, err := netaddr.ParsePrefix6(s)
+func p6(s string) tass.Prefix6 {
+	p, err := tass.ParsePrefix6(s)
 	if err != nil {
 		panic(err)
 	}
 	return p
 }
 
-func a6(s string) netaddr.Addr6 { return netaddr.MustParseAddr6(s) }
+func a6(s string) tass.Addr6 { return netaddr.MustParseAddr6(s) }
 
 func TestNewUniverse6(t *testing.T) {
-	u, err := NewUniverse6([]netaddr.Prefix6{
+	u, err := tass.NewUniverse6([]tass.Prefix6{
 		p6("2001:db8::/32"), p6("2620:0:860::/46"), p6("2a00::/24"),
 	})
 	if err != nil {
@@ -31,7 +33,7 @@ func TestNewUniverse6(t *testing.T) {
 	if u.Prefix(0) != p6("2001:db8::/32") || u.Prefix(2) != p6("2a00::/24") {
 		t.Errorf("order: %v %v %v", u.Prefix(0), u.Prefix(1), u.Prefix(2))
 	}
-	if _, err := NewUniverse6([]netaddr.Prefix6{
+	if _, err := tass.NewUniverse6([]tass.Prefix6{
 		p6("2001:db8::/32"), p6("2001:db8:1::/48"),
 	}); err == nil {
 		t.Error("nested prefixes accepted")
@@ -39,7 +41,7 @@ func TestNewUniverse6(t *testing.T) {
 }
 
 func TestUniverse6Find(t *testing.T) {
-	u, err := NewUniverse6([]netaddr.Prefix6{p6("2001:db8::/32"), p6("2a00::/16")})
+	u, err := tass.NewUniverse6([]tass.Prefix6{p6("2001:db8::/32"), p6("2a00::/16")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +68,7 @@ func TestUniverse6Find(t *testing.T) {
 }
 
 func TestRank6AndSelect6(t *testing.T) {
-	u, err := NewUniverse6([]netaddr.Prefix6{
+	u, err := tass.NewUniverse6([]tass.Prefix6{
 		p6("2001:db8::/32"),   // 8 hosts in a /32: denser
 		p6("2a00::/24"),       // 8 hosts in a /24: sparser
 		p6("2620:0:860::/46"), // empty
@@ -74,14 +76,14 @@ func TestRank6AndSelect6(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seeds []netaddr.Addr6
+	var seeds []tass.Addr6
 	for i := 0; i < 8; i++ {
-		seeds = append(seeds, netaddr.Addr6{Hi: 0x20010db8_00000000 + uint64(i)<<16, Lo: 1})
-		seeds = append(seeds, netaddr.Addr6{Hi: 0x2a000000_00000000 + uint64(i)<<24, Lo: 2})
+		seeds = append(seeds, tass.Addr6{Hi: 0x20010db8_00000000 + uint64(i)<<16, Lo: 1})
+		seeds = append(seeds, tass.Addr6{Hi: 0x2a000000_00000000 + uint64(i)<<24, Lo: 2})
 	}
 	seeds = append(seeds, a6("9999::1")) // outside the universe
 
-	ranked := Rank6(seeds, u)
+	ranked := tass.Rank6(seeds, u)
 	if len(ranked) != 2 {
 		t.Fatalf("ranked: %+v", ranked)
 	}
@@ -95,12 +97,12 @@ func TestRank6AndSelect6(t *testing.T) {
 		t.Error("density order wrong")
 	}
 
-	sel, err := Select6(seeds, u, 0.4)
+	sel, err := tass.Select6(seeds, u, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sel.K != 1 || sel.HostCoverage != 0.5 {
-		t.Fatalf("Select6(0.4): K=%d coverage=%v", sel.K, sel.HostCoverage)
+		t.Fatalf("tass.Select6(0.4): K=%d coverage=%v", sel.K, sel.HostCoverage)
 	}
 	if sel.SpaceBits != 96 { // one /32 = 2^96 addresses
 		t.Errorf("SpaceBits = %v, want 96", sel.SpaceBits)
@@ -109,54 +111,59 @@ func TestRank6AndSelect6(t *testing.T) {
 		t.Errorf("Prefixes = %v", got)
 	}
 
-	sel, err = Select6(seeds, u, 1)
+	sel, err = tass.Select6(seeds, u, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sel.K != 2 || sel.HostCoverage != 1 {
-		t.Fatalf("Select6(1): K=%d coverage=%v", sel.K, sel.HostCoverage)
+		t.Fatalf("tass.Select6(1): K=%d coverage=%v", sel.K, sel.HostCoverage)
 	}
 }
 
 func TestSelect6Errors(t *testing.T) {
-	u, _ := NewUniverse6([]netaddr.Prefix6{p6("2001:db8::/32")})
-	if _, err := Select6(nil, u, 0.9); err == nil {
+	u, _ := tass.NewUniverse6([]tass.Prefix6{p6("2001:db8::/32")})
+	if _, err := tass.Select6(nil, u, 0.9); err == nil {
 		t.Error("no seeds accepted")
 	}
-	if _, err := Select6([]netaddr.Addr6{a6("2001:db8::1")}, u, 0); err == nil {
+	if _, err := tass.Select6([]tass.Addr6{a6("2001:db8::1")}, u, 0); err == nil {
 		t.Error("φ=0 accepted")
 	}
-	if _, err := Select6([]netaddr.Addr6{a6("9999::")}, u, 0.9); err == nil {
-		t.Error("all seeds outside universe accepted")
+	_, err := tass.Select6([]tass.Addr6{a6("9999::")}, u, 0.9)
+	if err == nil {
+		t.Fatal("all seeds outside universe accepted")
+	}
+	// The engine's error is wrapped, not replaced.
+	if errors.Unwrap(err) == nil {
+		t.Errorf("error %q does not wrap the selection error", err)
 	}
 }
 
 func TestSelect6CoverageInvariant(t *testing.T) {
 	// Random universes: achieved coverage always exceeds φ.
 	rng := rand.New(rand.NewSource(3))
-	var ps []netaddr.Prefix6
+	var ps []tass.Prefix6
 	for i := 0; i < 64; i++ {
-		a := netaddr.Addr6{Hi: 0x2000_0000_0000_0000 + uint64(i)<<40}
+		a := tass.Addr6{Hi: 0x2000_0000_0000_0000 + uint64(i)<<40}
 		p, err := netaddr.Prefix6From(a, 32)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ps = append(ps, p)
 	}
-	u, err := NewUniverse6(ps)
+	u, err := tass.NewUniverse6(ps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seeds []netaddr.Addr6
+	var seeds []tass.Addr6
 	for i := 0; i < 3000; i++ {
 		base := ps[rng.Intn(len(ps))]
-		seeds = append(seeds, netaddr.Addr6{
+		seeds = append(seeds, tass.Addr6{
 			Hi: base.Addr().Hi | uint64(rng.Intn(1<<30)),
 			Lo: rng.Uint64(),
 		})
 	}
 	for _, phi := range []float64{0.3, 0.5, 0.9, 0.99, 1} {
-		sel, err := Select6(seeds, u, phi)
+		sel, err := tass.Select6(seeds, u, phi)
 		if err != nil {
 			t.Fatal(err)
 		}
