@@ -11,12 +11,17 @@ package tass_test
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/tass-scan/tass"
 	"github.com/tass-scan/tass/internal/census"
+	"github.com/tass-scan/tass/internal/coord"
 	"github.com/tass-scan/tass/internal/core"
 	"github.com/tass-scan/tass/internal/experiment"
 	"github.com/tass-scan/tass/internal/netaddr"
@@ -741,4 +746,70 @@ func BenchmarkPolicyLimiter(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkCoordHeartbeat measures one coordinator heartbeat over a
+// FileStore — a chunk's delta upload, persisted before the call
+// returns — while the lease already holds about R responsive addresses.
+// The log mimics a real one: random addresses in arrival order, sorted
+// within each chunk. The fsync dominates, so the time follows the disk
+// and the benchmark stays out of scripts/bench.sh's gated set; DESIGN.md
+// §13 tabulates it against the cumulative uploads it replaced.
+func BenchmarkCoordHeartbeat(b *testing.B) {
+	const chunk = 256 // responsive addresses per chunk: a whole default chunk
+	for _, held := range []int{1_000, 100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("R=%d", held), func(b *testing.B) {
+			// The lease starts over whenever its deltas have grown it by
+			// a tenth (at least one chunk), so R stays R.
+			grow := max(held/10, chunk)
+			log := make([]netaddr.Addr, held+grow)
+			x := uint64(1)
+			for i := range log {
+				x = x*6364136223846793005 + 1442695040888963407
+				log[i] = netaddr.Addr(x >> 32)
+			}
+			for i := 0; i < len(log); i += chunk {
+				slices.Sort(log[i:min(i+chunk, len(log))])
+			}
+			path := filepath.Join(b.TempDir(), "state")
+			var co *coord.Coordinator
+			var lease *coord.Lease
+			var ren coord.Renewal
+			start := func() {
+				os.Remove(path)
+				var err error
+				if co, err = coord.NewCoordinator(coord.NewFileStore(path), nil); err != nil {
+					b.Fatal(err)
+				}
+				spec := coord.CampaignSpec{ID: "bench", Universe: []string{"0.0.0.0/0"}, Phi: 0.9, Cycles: 2, Shards: 1, LeaseTTL: time.Hour}
+				if err := co.CreateCampaign(spec); err != nil {
+					b.Fatal(err)
+				}
+				if lease, _, err = co.Acquire("bench", "w"); err != nil || lease == nil {
+					b.Fatalf("acquire: %+v, %v", lease, err)
+				}
+				if ren, err = co.Heartbeat("bench", lease.LeaseID, coord.Upload{Responsive: log[:held]}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			start()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if ren.Held+chunk > len(log) {
+					b.StopTimer()
+					start()
+					b.StartTimer()
+				}
+				up := coord.Upload{From: ren.Held, Responsive: log[ren.Held : ren.Held+chunk], Probed: uint64(ren.Held + chunk)}
+				var err error
+				if ren, err = co.Heartbeat("bench", lease.LeaseID, up); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if fi, err := os.Stat(path); err == nil {
+				b.ReportMetric(float64(fi.Size()), "state-B")
+			}
+		})
+	}
 }

@@ -26,6 +26,13 @@ var testHookAfterWrite func() error
 // WriteFile atomically replaces path with data. On any error the
 // previous contents of path are intact.
 func WriteFile(path string, data []byte, perm os.FileMode) error {
+	return WriteParts(path, perm, data)
+}
+
+// WriteParts is WriteFile for contents given as consecutive parts (a
+// header and a payload, say), written without first being copied into
+// one buffer.
+func WriteParts(path string, perm os.FileMode, parts ...[]byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -38,8 +45,10 @@ func WriteFile(path string, data []byte, perm os.FileMode) error {
 		os.Remove(tmpName)
 		return fmt.Errorf("atomicfile: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
-		return fail(err)
+	for _, p := range parts {
+		if _, err := tmp.Write(p); err != nil {
+			return fail(err)
+		}
 	}
 	if err := tmp.Chmod(perm); err != nil {
 		return fail(err)

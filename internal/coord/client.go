@@ -78,14 +78,27 @@ func (cl *Client) Acquire(ctx context.Context, campaign, worker string) (lease *
 	return resp.Lease, resp.Done, nil
 }
 
-// Heartbeat renews a lease with the worker's latest cumulative upload.
-// ErrLeaseLost means the shard is no longer the worker's.
-func (cl *Client) Heartbeat(ctx context.Context, campaign, leaseID string, up Upload) error {
-	return cl.call(ctx, http.MethodPost,
-		"/v1/campaigns/"+campaign+"/leases/"+leaseID+"/heartbeat", up, &heartbeatResponse{})
+// Heartbeat renews a lease and uploads the worker's cursor, counts and
+// results from up.From on (see Upload). The renewal's Held is the From
+// of the next delta, or -1 when the coordinator did not report it.
+// ErrLeaseLost means the shard is no longer the worker's; ErrUploadGap
+// that the coordinator holds fewer than up.From results, and the upload
+// must be resent from 0.
+func (cl *Client) Heartbeat(ctx context.Context, campaign, leaseID string, up Upload) (Renewal, error) {
+	var resp heartbeatResponse
+	if err := cl.call(ctx, http.MethodPost,
+		"/v1/campaigns/"+campaign+"/leases/"+leaseID+"/heartbeat", up, &resp); err != nil {
+		return Renewal{}, err
+	}
+	ren := Renewal{Deadline: resp.Deadline, Held: -1}
+	if resp.Held != nil {
+		ren.Held = *resp.Held
+	}
+	return ren, nil
 }
 
-// Complete reports a shard finished with its final upload.
+// Complete reports a shard finished with its final upload, which, like
+// a heartbeat's, carries the results from up.From on.
 func (cl *Client) Complete(ctx context.Context, campaign, leaseID string, up Upload) error {
 	return cl.call(ctx, http.MethodPost,
 		"/v1/campaigns/"+campaign+"/leases/"+leaseID+"/complete", up, &struct{}{})
@@ -195,6 +208,8 @@ func (cl *Client) attempt(ctx context.Context, method, path string, body []byte,
 			return fmt.Errorf("%w: %s", ErrLeaseLost, msg)
 		case codeCampaignExists:
 			return fmt.Errorf("%w: %s", ErrCampaignExists, msg)
+		case codeUploadGap:
+			return fmt.Errorf("%w: %s", ErrUploadGap, msg)
 		}
 		err := fmt.Errorf("coord: %s %s: %s (%s)", method, path, msg, resp.Status)
 		switch {

@@ -6,8 +6,9 @@
 // cycle slice that scan.Config.Shard/Shards gives a single machine. A
 // worker acquires a time-bounded lease on a shard, scans it in
 // checkpointable chunks, renews the lease by uploading its cursor
-// (scan.Checkpoint) plus the responsive addresses found so far, and
-// finally marks the shard complete. A lease that is not renewed before
+// (scan.Checkpoint) plus the responsive addresses found since the
+// coordinator last acknowledged its results (see Upload), and finally
+// marks the shard complete. A lease that is not renewed before
 // its deadline — worker crash, network partition — is revoked, and the
 // shard is re-leased to the next worker that asks, *with the dead
 // worker's last uploaded checkpoint*: the replacement resumes exactly
@@ -27,10 +28,12 @@
 // cursors, partial cycles — persists through a pluggable Store after
 // every mutation, so a coordinator crash loses nothing: the restarted
 // process reloads the store and honors the leases its predecessor
-// issued.
+// issued. The blob is binary with cached sections (state.go), so a
+// request re-encodes what it changed, not the campaign.
 package coord
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -53,6 +56,11 @@ var (
 	ErrLeaseLost = errors.New("coord: lease lost")
 	// ErrCampaignExists rejects a duplicate campaign ID.
 	ErrCampaignExists = errors.New("coord: campaign already exists")
+	// ErrUploadGap refuses a delta upload whose From lies past the
+	// results the coordinator holds for the lease (an acknowledgement
+	// the worker saw was overtaken by an older upload landing later).
+	// The worker must resend its whole result log with From 0.
+	ErrUploadGap = errors.New("coord: upload starts past the results held")
 )
 
 // CampaignSpec is the immutable configuration of a distributed campaign.
@@ -139,7 +147,7 @@ func (s CampaignSpec) validate() (universe, targets rib.Partition, err error) {
 	if s.Shards <= 0 {
 		return universe, targets, fmt.Errorf("coord: campaign needs at least one shard")
 	}
-	if s.Phi <= 0 || s.Phi > 1 {
+	if !(s.Phi > 0 && s.Phi <= 1) { // false for NaN too
 		return universe, targets, fmt.Errorf("coord: φ must be in (0,1], got %v", s.Phi)
 	}
 	if universe, err = parsePartition(s.Universe); err != nil {
@@ -161,8 +169,15 @@ func (s CampaignSpec) validate() (universe, targets rib.Partition, err error) {
 			return universe, targets, fmt.Errorf("coord: exclusion %q: %w", x, err)
 		}
 	}
-	if math.IsNaN(s.PrefixRate) || math.IsInf(s.PrefixRate, 0) || s.PrefixRate < 0 {
-		return universe, targets, fmt.Errorf("coord: prefix rate must be finite and non-negative, got %v", s.PrefixRate)
+	// Every float must be finite: the spec is persisted as JSON, which
+	// has no NaN or infinity.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"min density", s.MinDensity}, {"rate", s.Rate}, {"prefix rate", s.PrefixRate}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
+			return universe, targets, fmt.Errorf("coord: %s must be finite and non-negative, got %v", f.name, f.v)
+		}
 	}
 	return universe, targets, nil
 }
@@ -231,19 +246,80 @@ type Lease struct {
 }
 
 // Upload is the worker→coordinator payload of a heartbeat (partial) or
-// completion (final): the cursor and everything found under this lease
-// so far. Heartbeat uploads are cumulative per lease and replace the
-// previous upload; the checkpoint and responsive set always describe
-// the same consistent instant (a chunk boundary).
+// completion (final): the cursor, the lease's new results and its probe
+// counts. The worker keeps the lease's results in an append-only log
+// (arrival order, sorted within each chunk); an upload carries the log
+// from position From on, and the coordinator keeps the first From
+// results it holds and appends the rest. From 0 replaces everything, so
+// a replayed or reordered upload is harmless: the coordinator always
+// holds a prefix of the log, consistent with the checkpoint and counts
+// of the upload that wrote it (a chunk boundary).
 type Upload struct {
 	// Checkpoint is the cursor at the chunk boundary (nil on Complete:
 	// a finished shard has no cursor).
 	Checkpoint *scan.Checkpoint `json:"checkpoint,omitempty"`
-	// Responsive lists the open addresses this lease has found, sorted.
+	// From is the log position Responsive starts at: the Held count of
+	// an earlier reply, or 0. A From past what the coordinator holds is
+	// refused with ErrUploadGap.
+	From int `json:"from,omitempty"`
+	// Responsive lists the lease's results from log position From on.
 	Responsive []netaddr.Addr `json:"responsive"`
-	// Probed and Errors count this lease's probes.
+	// Probed and Errors count all of this lease's probes (cumulative,
+	// whatever From is).
 	Probed uint64 `json:"probed"`
 	Errors uint64 `json:"errors"`
+
+	// packed sends Responsive on the wire as "packed": delta-varints
+	// (appendAddrDeltas), base64 in JSON, about a quarter the size of
+	// the JSON numbers. Workers pack only for a coordinator that has
+	// reported Held, which reads both forms.
+	packed bool
+}
+
+// MarshalJSON implements json.Marshaler.
+func (u Upload) MarshalJSON() ([]byte, error) {
+	type plain Upload
+	if !u.packed {
+		return json.Marshal(plain(u))
+	}
+	packed, _ := appendAddrDeltas(nil, 0, u.Responsive)
+	return json.Marshal(struct {
+		plain
+		Responsive []netaddr.Addr `json:"responsive,omitempty"` // shadows plain's
+		Packed     []byte         `json:"packed"`
+	}{plain: plain(u), Packed: packed})
+}
+
+// UnmarshalJSON implements json.Unmarshaler, reading either form.
+func (u *Upload) UnmarshalJSON(data []byte) error {
+	type plain Upload
+	w := struct {
+		*plain
+		Packed []byte `json:"packed"`
+	}{plain: (*plain)(u)}
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	if len(w.Packed) == 0 {
+		return nil
+	}
+	if len(u.Responsive) > 0 {
+		return fmt.Errorf("coord: upload carries both responsive and packed results")
+	}
+	var err error
+	u.Responsive, err = decodeAddrDeltas(w.Packed)
+	return err
+}
+
+// Renewal is the coordinator's answer to an accepted heartbeat.
+type Renewal struct {
+	// Deadline is the lease's new expiry.
+	Deadline time.Time
+	// Held is how many of the lease's results the coordinator holds
+	// after the upload — the From of the worker's next delta. It is -1
+	// when the coordinator did not report it (it predates delta
+	// uploads), and the next upload must then resend everything.
+	Held int
 }
 
 // CycleSummary records one completed distributed cycle.

@@ -1,8 +1,8 @@
 package coord
 
 import (
-	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -32,21 +32,29 @@ type shardState struct {
 	// Checkpoint is the cursor the shard's current or last holder most
 	// recently uploaded; a re-lease hands it to the replacement.
 	Checkpoint *scan.Checkpoint `json:"checkpoint,omitempty"`
-	// Base accumulates results inherited from expired leases of this
-	// shard; Current is the live lease's latest (cumulative) upload.
-	// Both halves of an upload — cursor and results — commit together,
-	// so Base∪Current is always consistent with Checkpoint.
+	// Base accumulates the results of this shard's expired leases;
+	// Current is the prefix of the live lease's result log the
+	// coordinator holds. Both are in arrival order, and may overlap when
+	// an expired-but-alive worker raced its replacement: the cycle-end
+	// snapshot sorts and de-duplicates. Both halves of an upload —
+	// cursor and results — commit together, so Base∪Current is always
+	// consistent with Checkpoint. Neither is ever overwritten in place,
+	// only appended to or replaced by a copy: the state encoder's cache
+	// relies on it.
 	Base       []netaddr.Addr `json:"base,omitempty"`
 	Current    []netaddr.Addr `json:"current,omitempty"`
 	BaseProbed uint64         `json:"base_probed,omitempty"`
 	BaseErrors uint64         `json:"base_errors,omitempty"`
 	CurProbed  uint64         `json:"cur_probed,omitempty"`
 	CurErrors  uint64         `json:"cur_errors,omitempty"`
+
+	enc *shardEnc // cached encodings of the big fields; see state.go
 }
 
 // campaignState is the full durable state of one campaign. Exported
-// fields persist; the partition caches rebuild on load, the planner on
-// the first reseed after it.
+// fields persist (state.go); the partition caches rebuild on load, the
+// planner on the first reseed after it. The JSON tags are the v1 state
+// format, still read at load.
 type campaignState struct {
 	Spec    CampaignSpec   `json:"spec"`
 	Cycle   int            `json:"cycle"`
@@ -62,15 +70,10 @@ type campaignState struct {
 	Final []netaddr.Addr `json:"final,omitempty"`
 
 	universe rib.Partition // cached parse of Spec.Universe
+	targets  rib.Partition // cached parse of Spec.Targets (may be empty)
 	plan     rib.Partition // cached parse of Plan
 	planner  *core.Planner // reseed ranking; nil until the first reseed
-}
-
-// persistentState is the blob handed to the Store.
-type persistentState struct {
-	Version   int                       `json:"v"`
-	NextLease uint64                    `json:"next_lease"`
-	Campaigns map[string]*campaignState `json:"campaigns"`
+	enc      campaignEnc   // cached encodings of the sections; see state.go
 }
 
 // Coordinator owns the campaign state machines. Every public method is
@@ -82,6 +85,7 @@ type Coordinator struct {
 	now       func() time.Time
 	nextLease uint64
 	campaigns map[string]*campaignState
+	stateSize int // length of the last encoded state blob
 }
 
 // NewCoordinator builds a coordinator over store, reloading any state a
@@ -104,24 +108,8 @@ func NewCoordinator(store Store, now func() time.Time) (*Coordinator, error) {
 	case err != nil:
 		return nil, err
 	}
-	var st persistentState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("coord: decoding saved state: %w", err)
-	}
-	if st.Version > 1 {
-		return nil, fmt.Errorf("coord: saved state version %d is newer than this binary", st.Version)
-	}
-	c.nextLease = st.NextLease
-	for id, cs := range st.Campaigns {
-		if cs.universe, err = parsePartition(cs.Spec.Universe); err != nil {
-			return nil, fmt.Errorf("coord: campaign %s universe: %w", id, err)
-		}
-		if len(cs.Plan) > 0 {
-			if cs.plan, err = parsePartition(cs.Plan); err != nil {
-				return nil, fmt.Errorf("coord: campaign %s plan: %w", id, err)
-			}
-		}
-		c.campaigns[id] = cs
+	if err := c.decodeState(data); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -155,11 +143,19 @@ func (c *Coordinator) CreateCampaign(spec CampaignSpec) error {
 	if _, ok := c.campaigns[spec.ID]; ok {
 		return fmt.Errorf("%w: %s", ErrCampaignExists, spec.ID)
 	}
+	// The spec keeps its prefix lists in canonical (partition) order,
+	// which is how the state blob stores and reloads them.
+	spec.Universe = formatPartition(universe)
+	spec.Targets = nil
+	if targets.Len() > 0 {
+		spec.Targets = formatPartition(targets)
+	}
 	cs := &campaignState{
 		Spec:     spec,
 		Plan:     formatPartition(plan),
 		Shards:   freshShards(spec.Shards),
 		universe: universe,
+		targets:  targets,
 		plan:     plan,
 	}
 	c.campaigns[spec.ID] = cs
@@ -240,24 +236,44 @@ func (c *Coordinator) Acquire(campaign, worker string) (*Lease, bool, error) {
 	return lease, false, nil
 }
 
-// Heartbeat renews a lease and commits the holder's latest cumulative
-// upload. It returns the new deadline; ErrLeaseLost means the worker no
-// longer owns the shard (expired and possibly re-leased) and must stop.
-func (c *Coordinator) Heartbeat(campaign, leaseID string, up Upload) (time.Time, error) {
+// Heartbeat renews a lease and commits the holder's upload: its cursor,
+// counts, and results from log position up.From on. It returns the new
+// deadline and the count of results now held; ErrLeaseLost means the
+// worker no longer owns the shard (expired and possibly re-leased) and
+// must stop, ErrUploadGap that it must resend from 0.
+func (c *Coordinator) Heartbeat(campaign, leaseID string, up Upload) (Renewal, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cs, sh, err := c.leaseShardLocked(campaign, leaseID)
 	if err != nil {
-		return time.Time{}, err
+		return Renewal{}, err
+	}
+	cur, err := appendUpload(sh.Current, up)
+	if err != nil {
+		return Renewal{}, err
 	}
 	sh.Deadline = c.now().Add(cs.Spec.LeaseTTL)
 	sh.Checkpoint = cloneCheckpoint(up.Checkpoint)
-	sh.Current = append([]netaddr.Addr(nil), up.Responsive...)
+	sh.Current = cur
 	sh.CurProbed, sh.CurErrors = up.Probed, up.Errors
 	if err := c.saveLocked(); err != nil {
-		return time.Time{}, err
+		return Renewal{}, err
 	}
-	return sh.Deadline, nil
+	return Renewal{Deadline: sh.Deadline, Held: len(sh.Current)}, nil
+}
+
+// appendUpload applies up to the results held for a lease: the first
+// up.From stay and up.Responsive follows them. Cutting the held results
+// short copies them, so a slice kept elsewhere (Complete's rollback
+// copy, the encoder's cache) never sees an element overwritten.
+func appendUpload(held []netaddr.Addr, up Upload) ([]netaddr.Addr, error) {
+	switch {
+	case up.From < 0 || up.From > len(held):
+		return nil, fmt.Errorf("%w: upload from %d, %d held", ErrUploadGap, up.From, len(held))
+	case up.From < len(held):
+		held = append(make([]netaddr.Addr, 0, up.From+len(up.Responsive)), held[:up.From]...)
+	}
+	return append(held, up.Responsive...), nil
 }
 
 // Complete marks a leased shard finished with its final results. When it
@@ -271,12 +287,20 @@ func (c *Coordinator) Complete(campaign, leaseID string, up Upload) error {
 	if err != nil {
 		return err
 	}
+	cur, err := appendUpload(sh.Current, up)
+	if err != nil {
+		return err
+	}
+	// The rollback copy's results are clipped to their length: a later
+	// append to the restored slice must reallocate, not overwrite what
+	// this attempt appended in place and a cache may have seen.
 	prev := *sh
+	prev.Current = slices.Clip(prev.Current)
 	sh.State = shardDone
 	sh.LeaseID = ""
 	sh.Deadline = time.Time{}
 	sh.Checkpoint = nil
-	sh.Current = append([]netaddr.Addr(nil), up.Responsive...)
+	sh.Current = cur
 	sh.CurProbed, sh.CurErrors = up.Probed, up.Errors
 	for _, other := range cs.Shards {
 		if other.State != shardDone {
@@ -303,7 +327,11 @@ func (c *Coordinator) Status(campaign string) (*Status, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownCampaign, campaign)
 	}
-	c.expireLocked(cs)
+	if c.expireLocked(cs) {
+		if err := c.saveLocked(); err != nil {
+			return nil, err
+		}
+	}
 	st := &Status{
 		ID:      cs.Spec.ID,
 		Cycle:   cs.Cycle,
@@ -331,13 +359,19 @@ func (c *Coordinator) Status(campaign string) (*Status, error) {
 
 // leaseShardLocked resolves a lease ID to its shard after reclaiming
 // expired leases, enforcing fencing: a lease that expired (even if the
-// shard has not been re-leased yet) is lost, not resurrected.
+// shard has not been re-leased yet) is lost, not resurrected. Reclaimed
+// leases are persisted here, before any refusal, so memory never runs
+// ahead of the store.
 func (c *Coordinator) leaseShardLocked(campaign, leaseID string) (*campaignState, *shardState, error) {
 	cs, ok := c.campaigns[campaign]
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %s", ErrUnknownCampaign, campaign)
 	}
-	c.expireLocked(cs)
+	if c.expireLocked(cs) {
+		if err := c.saveLocked(); err != nil {
+			return nil, nil, err
+		}
+	}
 	for _, sh := range cs.Shards {
 		if sh.State == shardLeased && sh.LeaseID == leaseID {
 			return cs, sh, nil
@@ -375,7 +409,7 @@ func (c *Coordinator) expireLocked(cs *campaignState) bool {
 		sh.LeaseID = ""
 		sh.Worker = ""
 		sh.Deadline = time.Time{}
-		sh.Base = mergeAddrs(sh.Base, sh.Current)
+		sh.Base = append(sh.Base, sh.Current...)
 		sh.Current = nil
 		sh.BaseProbed += sh.CurProbed
 		sh.BaseErrors += sh.CurErrors
@@ -395,13 +429,20 @@ func (c *Coordinator) expireLocked(cs *campaignState) bool {
 // reflects the snapshot it last accepted, and the retry repairs it from
 // there.
 func (c *Coordinator) finishCycleLocked(cs *campaignState) error {
-	var responsive []netaddr.Addr
+	var n int
+	for _, sh := range cs.Shards {
+		n += len(sh.Base) + len(sh.Current)
+	}
+	responsive := make([]netaddr.Addr, 0, n)
 	var probed, errors uint64
 	for _, sh := range cs.Shards {
-		responsive = mergeAddrs(responsive, mergeAddrs(sh.Base, sh.Current))
+		responsive = append(append(responsive, sh.Base...), sh.Current...)
 		probed += sh.BaseProbed + sh.CurProbed
 		errors += sh.BaseErrors + sh.CurErrors
 	}
+	// NewSnapshot sorts and de-duplicates a copy: shards are disjoint,
+	// but an expired-but-alive lease may have overlapped its
+	// replacement, and the union keeps the accounting exactly-once.
 	snap := census.NewSnapshot(cs.Spec.Protocol, cs.Cycle, responsive)
 	summary := CycleSummary{
 		Cycle:      cs.Cycle,
@@ -415,7 +456,7 @@ func (c *Coordinator) finishCycleLocked(cs *campaignState) error {
 	done, note := last, ""
 	var nextPlan rib.Partition
 	switch {
-	case !last && len(responsive) == 0:
+	case !last && snap.Hosts() == 0:
 		// Nothing answered: there is no snapshot to select from, and the
 		// next cycle would scan an empty plan forever. Finish early.
 		done = true
@@ -461,50 +502,10 @@ func (c *Coordinator) finishCycleLocked(cs *campaignState) error {
 // after every mutation so the durable state never trails the replies
 // workers have seen.
 func (c *Coordinator) saveLocked() error {
-	st := persistentState{
-		Version:   1,
-		NextLease: c.nextLease,
-		Campaigns: c.campaigns,
-	}
-	data, err := json.Marshal(st)
-	if err != nil {
-		return fmt.Errorf("coord: encoding state: %w", err)
-	}
-	if err := c.store.Save(data); err != nil {
+	if err := c.store.Save(c.encodeState()); err != nil {
 		return fmt.Errorf("coord: persisting state: %w", err)
 	}
 	return nil
-}
-
-// mergeAddrs unions two sorted address sets. Shards are disjoint and a
-// lease's uploads are cumulative, so duplicates only arise when an
-// expired-but-alive worker overlapped its replacement; the union keeps
-// the accounting exactly-once regardless.
-func mergeAddrs(a, b []netaddr.Addr) []netaddr.Addr {
-	if len(a) == 0 {
-		return append([]netaddr.Addr(nil), b...)
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make([]netaddr.Addr, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i, j = i+1, j+1
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
 }
 
 func cloneCheckpoint(cp *scan.Checkpoint) *scan.Checkpoint {

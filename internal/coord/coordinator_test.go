@@ -2,6 +2,7 @@ package coord
 
 import (
 	"errors"
+	"math"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -72,6 +73,8 @@ func TestCreateCampaignValidation(t *testing.T) {
 		{"zero cycles", func(s *CampaignSpec) { s.Cycles = 0 }},
 		{"zero shards", func(s *CampaignSpec) { s.Shards = 0 }},
 		{"phi out of range", func(s *CampaignSpec) { s.Phi = 1.5 }},
+		{"phi NaN", func(s *CampaignSpec) { s.Phi = math.NaN() }},
+		{"rate infinite", func(s *CampaignSpec) { s.Rate = math.Inf(1) }},
 	}
 	for _, tc := range cases {
 		spec := testSpec("v")

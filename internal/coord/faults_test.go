@@ -848,7 +848,7 @@ func TestWireErrorCodes(t *testing.T) {
 	if _, err := cl.Status(ctx, "nope"); !errors.Is(err, ErrUnknownCampaign) {
 		t.Errorf("unknown campaign err = %v, want ErrUnknownCampaign", err)
 	}
-	if err := cl.Heartbeat(ctx, "camp", "L99999999", Upload{}); !errors.Is(err, ErrUnknownLease) {
+	if _, err := cl.Heartbeat(ctx, "camp", "L99999999", Upload{}); !errors.Is(err, ErrUnknownLease) {
 		t.Errorf("never-issued lease err = %v, want ErrUnknownLease (campaign exists)", err)
 	}
 	lease, _, err := cl.Acquire(ctx, "camp", "w")
@@ -856,7 +856,7 @@ func TestWireErrorCodes(t *testing.T) {
 		t.Fatalf("acquire = %+v, %v", lease, err)
 	}
 	clk.Advance(31 * time.Second)
-	if err := cl.Heartbeat(ctx, "camp", lease.LeaseID, Upload{}); !errors.Is(err, ErrLeaseLost) {
+	if _, err := cl.Heartbeat(ctx, "camp", lease.LeaseID, Upload{}); !errors.Is(err, ErrLeaseLost) {
 		t.Errorf("expired lease err = %v, want ErrLeaseLost", err)
 	}
 	if err := cl.CreateCampaign(ctx, faultSpec(1, 1)); !errors.Is(err, ErrCampaignExists) {

@@ -20,8 +20,9 @@ import (
 // Semantic failures map to statuses plus a machine-readable `code`
 // field in the JSON body that the client turns back into sentinel
 // errors: 404 unknown campaign/lease (disambiguated by code), 410 lease
-// lost, 409 duplicate campaign, 400 bad request. Anything
-// transport-shaped (5xx, network) is retryable; 4xx is not.
+// lost, 409 duplicate campaign, 416 upload gap, 413 body too large, 400
+// bad request. Anything transport-shaped (5xx, network) is retryable;
+// 4xx is not.
 
 type acquireRequest struct {
 	Worker string `json:"worker"`
@@ -37,6 +38,10 @@ type acquireResponse struct {
 
 type heartbeatResponse struct {
 	Deadline time.Time `json:"deadline"`
+	// Held is how many of the lease's results the coordinator holds
+	// after the upload. Coordinators that predate delta uploads omit
+	// it, and a worker that never saw it always uploads from 0.
+	Held *int `json:"held,omitempty"`
 }
 
 type errorResponse struct {
@@ -55,11 +60,15 @@ const (
 	codeUnknownLease    = "unknown_lease"
 	codeLeaseLost       = "lease_lost"
 	codeCampaignExists  = "campaign_exists"
+	codeUploadGap       = "upload_gap"
 )
 
-// maxBodyBytes bounds request bodies: uploads carry address lists, not
-// bulk data, and a malicious or confused client must not OOM the
-// coordinator.
+// maxBodyBytes bounds request and response bodies, so a malicious or
+// confused peer cannot OOM the other side; a larger request is refused
+// with 413, not truncated. A delta upload carries one chunk's results
+// (at most ChunkProbes addresses), far below the bound; only a resend
+// from 0 of a lease holding millions of results (≈11 JSON bytes each)
+// can reach it.
 const maxBodyBytes = 64 << 20
 
 // NewHandler exposes the coordinator over HTTP.
@@ -101,12 +110,12 @@ func NewHandler(c *Coordinator) http.Handler {
 		if !decodeBody(w, r, &up) {
 			return
 		}
-		deadline, err := c.Heartbeat(r.PathValue("id"), r.PathValue("lease"), up)
+		ren, err := c.Heartbeat(r.PathValue("id"), r.PathValue("lease"), up)
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, heartbeatResponse{Deadline: deadline})
+		writeJSON(w, http.StatusOK, heartbeatResponse{Deadline: ren.Deadline, Held: &ren.Held})
 	})
 	mux.HandleFunc("POST /v1/campaigns/{id}/leases/{lease}/complete", func(w http.ResponseWriter, r *http.Request) {
 		var up Upload
@@ -123,9 +132,14 @@ func NewHandler(c *Coordinator) http.Handler {
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, errorResponse{Error: fmt.Sprintf("coord: reading request body: %v", err)})
 		return false
 	}
 	if err := json.Unmarshal(body, v); err != nil {
@@ -146,6 +160,8 @@ func writeError(w http.ResponseWriter, err error) {
 		status, code = http.StatusGone, codeLeaseLost
 	case errors.Is(err, ErrCampaignExists):
 		status, code = http.StatusConflict, codeCampaignExists
+	case errors.Is(err, ErrUploadGap):
+		status, code = http.StatusRequestedRangeNotSatisfiable, codeUploadGap
 	}
 	writeJSON(w, status, errorResponse{Error: err.Error(), Code: code})
 }

@@ -77,11 +77,9 @@ func NewFileStore(path string) *FileStore { return &FileStore{path: path} }
 
 // Save implements Store: atomic replace with a checksummed header.
 func (f *FileStore) Save(data []byte) error {
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%s v%d len=%d crc32=%08x\n",
+	header := fmt.Appendf(nil, "%s v%d len=%d crc32=%08x\n",
 		fileStoreMagic, fileStoreVersion, len(data), crc32.ChecksumIEEE(data))
-	buf.Write(data)
-	return atomicfile.WriteFile(f.path, buf.Bytes(), 0o644)
+	return atomicfile.WriteParts(f.path, 0o644, header, data)
 }
 
 // Load implements Store: header and checksum verified, torn or corrupt

@@ -44,9 +44,9 @@ type Worker struct {
 	// top of the campaign-wide exclusion list carried in each lease.
 	Exclude []netaddr.Prefix
 	// HeartbeatEvery is the background lease-renewal cadence (default
-	// TTL/3). Renewals re-send the last consistent upload — uploads are
-	// cumulative and replace the previous one, so the replay is
-	// idempotent.
+	// TTL/3). Renewals re-send the last consistent (chunk-boundary)
+	// cursor with the results the coordinator has not acknowledged; a
+	// replay only rewrites what the coordinator already holds.
 	HeartbeatEvery time.Duration
 	// Now is the worker's clock, injectable for deterministic tests
 	// (default time.Now).
@@ -106,21 +106,65 @@ func (w *Worker) Run(ctx context.Context) error {
 // leaseHealth is the worker-side view of one held lease, shared between
 // the chunk loop and the background renewer.
 type leaseHealth struct {
-	mu       sync.Mutex
-	lastUp   Upload    // last consistent (chunk-boundary) upload
+	mu sync.Mutex
+	// last is the last consistent (chunk-boundary) state: cursor,
+	// cumulative counts, and in Responsive the whole result log, which
+	// only ever grows by append.
+	last Upload
+	// acked is how many results of the log the coordinator reported
+	// holding: the From of the next upload. deltas is set while the
+	// coordinator reports Held at all; until then every upload is the
+	// whole log, unpacked, which a coordinator that predates delta
+	// uploads reads correctly.
+	acked    int
+	deltas   bool
 	deadline time.Time // local copy of the lease deadline
 	fenced   bool      // the coordinator rejected the lease outright
 }
 
+// upload returns the last consistent state as a delta from the
+// acknowledged offset.
 func (h *leaseHealth) upload() Upload {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.lastUp
+	up := h.last
+	up.From = min(h.acked, len(up.Responsive))
+	up.Responsive = up.Responsive[up.From:]
+	up.packed = h.deltas
+	return up
 }
 
-func (h *leaseHealth) commit(up Upload) {
+// record appends a chunk's results to the log and commits the chunk
+// boundary's cursor and counts.
+func (h *leaseHealth) record(report *scan.Report, cp *scan.Checkpoint) {
 	h.mu.Lock()
-	h.lastUp = up
+	defer h.mu.Unlock()
+	if report != nil {
+		h.last.Responsive = append(h.last.Responsive, report.Responsive...)
+		h.last.Probed += report.Probed
+		h.last.Errors += report.Errors
+	}
+	h.last.Checkpoint = cp
+}
+
+// acknowledged records that the coordinator holds held results of the
+// log (-1: it did not say). Replies may arrive out of order, so the
+// offset can move back as well as forward: any offset is safe, since
+// one past what the coordinator holds draws ErrUploadGap and a resend.
+func (h *leaseHealth) acknowledged(held int) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.deltas = held >= 0
+	h.acked = max(held, 0)
+	if h.acked > len(h.last.Responsive) {
+		h.acked = 0
+	}
+}
+
+// resend makes the next upload carry the whole log again.
+func (h *leaseHealth) resend() {
+	h.mu.Lock()
+	h.acked = 0
 	h.mu.Unlock()
 }
 
@@ -201,7 +245,7 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) error {
 	// renewal that fires before the first chunk boundary re-asserts the
 	// cursor the coordinator already holds instead of clearing it.
 	health := &leaseHealth{
-		lastUp:   Upload{Checkpoint: lease.Checkpoint},
+		last:     Upload{Checkpoint: lease.Checkpoint},
 		deadline: w.now().Add(lease.TTL),
 	}
 	scanCtx, cancelScan := context.WithCancel(ctx)
@@ -213,19 +257,9 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) error {
 	}
 	defer stopRenewer()
 
-	var responsive []netaddr.Addr
-	var probed, nErrors uint64
-
 	for {
 		report, runErr := scanner.Run(scanCtx)
-		if report != nil {
-			responsive = mergeAddrs(responsive, report.Responsive)
-			probed += report.Probed
-			nErrors += report.Errors
-		}
-		cp := scanner.Checkpoint()
-		up := Upload{Checkpoint: cp, Responsive: responsive, Probed: probed, Errors: nErrors}
-		health.commit(up)
+		health.record(report, scanner.Checkpoint())
 
 		if runErr != nil {
 			if health.isFenced() && ctx.Err() == nil {
@@ -241,7 +275,7 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) error {
 			// whoever inherits the shard. The parent ctx is dead; give
 			// the dying gasp its own short deadline.
 			gctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			if err := w.Client.Heartbeat(gctx, lease.Campaign, lease.LeaseID, up); err != nil {
+			if err := w.heartbeat(gctx, lease, health); err != nil {
 				w.eventf("lease %s: final checkpoint upload failed: %v", lease.LeaseID, err)
 			} else {
 				w.eventf("lease %s: interrupted; cursor uploaded", lease.LeaseID)
@@ -261,10 +295,9 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) error {
 		}
 
 		// Chunk boundary: renew the lease and publish the cursor.
-		err := w.Client.Heartbeat(ctx, lease.Campaign, lease.LeaseID, up)
+		err := w.heartbeat(ctx, lease, health)
 		switch {
-		case err == nil:
-			health.renewed(w.now().Add(lease.TTL))
+		case err == nil: // renewed
 		case errors.Is(err, ErrLeaseLost), errors.Is(err, ErrUnknownCampaign), errors.Is(err, ErrUnknownLease):
 			// Fenced off: the shard has a new owner (or the campaign is
 			// gone). Discard everything buffered — uploading it would
@@ -299,13 +332,18 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) error {
 		w.eventf("lease %s: lost before completion; discarding", lease.LeaseID)
 		return nil
 	}
-	up := Upload{Responsive: responsive, Probed: probed, Errors: nErrors}
 	for {
+		up := health.upload()
+		up.Checkpoint = nil
 		err := w.Client.Complete(ctx, lease.Campaign, lease.LeaseID, up)
+		if errors.Is(err, ErrUploadGap) && up.From > 0 {
+			health.resend()
+			continue
+		}
 		switch {
 		case err == nil:
 			w.eventf("lease %s: shard complete (%d probed, %d responsive)",
-				lease.LeaseID, probed, len(responsive))
+				lease.LeaseID, up.Probed, up.From+len(up.Responsive))
 			return nil
 		case errors.Is(err, ErrLeaseLost), errors.Is(err, ErrUnknownCampaign), errors.Is(err, ErrUnknownLease):
 			w.eventf("lease %s: lost before completion (%v); discarding", lease.LeaseID, err)
@@ -326,11 +364,31 @@ func (w *Worker) runLease(ctx context.Context, lease *Lease) error {
 	}
 }
 
+// heartbeat uploads the lease's last consistent state from the
+// acknowledged offset and records the renewal. On ErrUploadGap it
+// resends the whole log once.
+func (w *Worker) heartbeat(ctx context.Context, lease *Lease, health *leaseHealth) error {
+	for {
+		up := health.upload()
+		ren, err := w.Client.Heartbeat(ctx, lease.Campaign, lease.LeaseID, up)
+		if errors.Is(err, ErrUploadGap) && up.From > 0 {
+			health.resend()
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		health.acknowledged(ren.Held)
+		health.renewed(w.now().Add(lease.TTL))
+		return nil
+	}
+}
+
 // renewLoop renews the lease on a real-time timer, decoupled from chunk
 // boundaries: with the default TTL/3 cadence a chunk may take
 // arbitrarily long (sequential TCP probes, a tight -rate cap) without
 // the lease ever lapsing. Each renewal re-sends the last consistent
-// upload, which the coordinator applies idempotently. A fenced renewal
+// cursor and the unacknowledged results. A fenced renewal
 // cancels the scan via cancelScan so the worker stops probing a shard
 // it no longer owns; transient failures are left to the chunk loop's
 // offline-deadline policy.
@@ -351,10 +409,9 @@ func (w *Worker) renewLoop(ctx context.Context, cancelScan context.CancelFunc, l
 			return
 		case <-t.C:
 		}
-		err := w.Client.Heartbeat(ctx, lease.Campaign, lease.LeaseID, health.upload())
+		err := w.heartbeat(ctx, lease, health)
 		switch {
-		case err == nil:
-			health.renewed(w.now().Add(lease.TTL))
+		case err == nil: // renewed
 		case errors.Is(err, ErrLeaseLost), errors.Is(err, ErrUnknownCampaign), errors.Is(err, ErrUnknownLease):
 			w.eventf("lease %s: renewal fenced (%v); stopping the scan", lease.LeaseID, err)
 			health.markFenced()

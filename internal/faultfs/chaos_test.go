@@ -2,6 +2,7 @@ package faultfs_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
+	"time"
 
 	"github.com/tass-scan/tass/internal/addrset"
 	"github.com/tass-scan/tass/internal/census"
@@ -155,11 +157,84 @@ func TestChaosCheckpointBitSweep(t *testing.T) {
 	}
 }
 
+// chaosCoordState drives a coordinator over a FileStore at path into
+// the middle of a campaign — one cycle completed, an expired lease
+// folded into its shard's base set, live leases holding delta-uploaded
+// results and a checkpoint — and returns the clock it stopped at with
+// the Status it reports there.
+func chaosCoordState(t *testing.T, path string) (func() time.Time, string) {
+	t.Helper()
+	clock := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
+	now := func() time.Time { return clock }
+	co, err := coord.NewCoordinator(coord.NewFileStore(path), now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := coord.CampaignSpec{
+		ID:       "chaos",
+		Universe: []string{"203.0.113.0/26", "203.0.113.64/26", "203.0.113.128/26", "203.0.113.192/26"},
+		Phi:      0.9,
+		Cycles:   3,
+		Shards:   3,
+		Workers:  1,
+		LeaseTTL: 30 * time.Second,
+	}
+	if err := co.CreateCampaign(spec); err != nil {
+		t.Fatal(err)
+	}
+	acquire := func(worker string) *coord.Lease {
+		l, _, err := co.Acquire("chaos", worker)
+		if err != nil || l == nil {
+			t.Fatalf("acquire: %+v, %v", l, err)
+		}
+		return l
+	}
+	heartbeat := func(l *coord.Lease, up coord.Upload) {
+		if _, err := co.Heartbeat("chaos", l.LeaseID, up); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := func(i int) netaddr.Addr { return netaddr.MustParseAddr("203.0.113.0") + netaddr.Addr(i) }
+	for i := 0; i < 3; i++ {
+		l := acquire("w")
+		if err := co.Complete("chaos", l.LeaseID, coord.Upload{Responsive: []netaddr.Addr{a(3 * i), a(3*i + 1), a(70 + i)}, Probed: 85}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cp := func(l *coord.Lease, consumed uint64) *scan.Checkpoint {
+		return &scan.Checkpoint{N: 128, Seed: l.Seed, Shard: l.Shard, Shards: l.Shards, Workers: 1, Consumed: []uint64{consumed}}
+	}
+	la, lb, lc := acquire("a"), acquire("b"), acquire("c")
+	heartbeat(lb, coord.Upload{Checkpoint: cp(lb, 9), Responsive: []netaddr.Addr{a(11), a(5)}, Probed: 9})
+	clock = clock.Add(20 * time.Second)
+	heartbeat(la, coord.Upload{Checkpoint: cp(la, 16), Responsive: []netaddr.Addr{a(2), a(9)}, Probed: 16})
+	heartbeat(la, coord.Upload{Checkpoint: cp(la, 32), From: 2, Responsive: []netaddr.Addr{a(1), a(30), a(31)}, Probed: 32})
+	heartbeat(lc, coord.Upload{Checkpoint: cp(lc, 7), Responsive: []netaddr.Addr{a(20)}, Probed: 7, Errors: 1})
+	clock = clock.Add(15 * time.Second) // b's lease lapses; a's and c's live
+	ld := acquire("d")
+	heartbeat(ld, coord.Upload{Checkpoint: cp(ld, 12), Responsive: []netaddr.Addr{a(40)}, Probed: 3})
+	st, err := co.Status("chaos")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return now, statusJSON(t, st)
+}
+
+func statusJSON(t *testing.T, st *coord.Status) string {
+	t.Helper()
+	b, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
 func TestChaosCoordStateBitSweep(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "coord.state")
-	payload := []byte(`{"campaign":"chaos","cycle":3,"shards":[0,1,2,3]}`)
-	if err := coord.NewFileStore(path).Save(payload); err != nil {
+	now, status := chaosCoordState(t, path)
+	payload, err := coord.NewFileStore(path).Load()
+	if err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -181,6 +256,18 @@ func TestChaosCoordStateBitSweep(t *testing.T) {
 			if got, err := coord.NewFileStore(path).Load(); err == nil {
 				if string(got) != string(payload) {
 					t.Fatalf("%s: corrupted state loaded as different payload: %q", label, got)
+				}
+				// A load that succeeds is the pre-flip campaign.
+				co, err := coord.NewCoordinator(coord.NewFileStore(path), now)
+				if err != nil {
+					t.Fatalf("%s: coordinator over a verified state: %v", label, err)
+				}
+				st, err := co.Status("chaos")
+				if err != nil {
+					t.Fatalf("%s: status: %v", label, err)
+				}
+				if got := statusJSON(t, st); got != status {
+					t.Fatalf("%s: loaded status %s, want %s", label, got, status)
 				}
 			}
 			if _, err := fsck.Repair(path); err != nil {

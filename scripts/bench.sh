@@ -15,7 +15,9 @@
 #        scripts/bench.sh -compare OLD.json NEW.json
 #        scripts/bench.sh -gate [OLD.json] NEW.json
 #        scripts/bench.sh -latest
-#   BENCH=<regex>       benchmarks to run (default: the counting/selection core)
+#   BENCH=<regex>       benchmarks to run (default: the counting/selection core;
+#                       BenchmarkCoordHeartbeat is left out on purpose: its
+#                       time is the disk's fsync, not the code)
 #   BENCHTIME=<n>       -benchtime value (default: go test's heuristic)
 #   GATE_THRESHOLD=<p>  -gate failure threshold in percent (default: 15)
 #
